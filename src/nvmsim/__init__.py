@@ -23,7 +23,7 @@ from .crypto import KeySet, decrypt, encrypt, hash_node, mac_tag, verify_mac
 from .bmt import BmtGeometry, BmtState, IntegrityFailure, rebuild_from_counters
 from .caches import CacheConfig, MetadataCache
 from .trace import Fence, GenSpec, Store, TraceParseError, generate, parse, render
-from .timing import DeadlockError, Event, EventQueue, LatencyConfig, run_until_idle, throughput_probe
+from .timing import DeadlockError, EventQueue, LatencyConfig, run_until_idle, throughput_probe
 from .engine import SCHEMES, EngineConfig, SimParams, Simulator
 from .crash import CrashPlan, RecoveryReport, Violation, check_prefix_consistency, crash, recover
 
@@ -39,7 +39,6 @@ __all__ = [
     "CrashPlan",
     "DeadlockError",
     "EngineConfig",
-    "Event",
     "EventQueue",
     "Fence",
     "GenSpec",

@@ -13,10 +13,14 @@ space stay cheap and still agree with full recomputation.
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Mapping, Optional
 
-from .crypto import TAG_BYTES, KeySet, hash_node
+from .crypto import KeySet, hash_node
 from .model_core import SplitCounter
 
 
@@ -33,15 +37,15 @@ class BmtGeometry:
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         return self.arity ** (self.levels - 1)
 
-    @property
+    @cached_property
     def first_leaf(self) -> int:
         return (self.arity ** (self.levels - 1) - 1) // (self.arity - 1)
 
-    @property
+    @cached_property
     def node_count(self) -> int:
         return (self.arity ** self.levels - 1) // (self.arity - 1)
 
@@ -53,14 +57,15 @@ class BmtGeometry:
     def children(self, label: int) -> range:
         return range(self.arity * label + 1, self.arity * label + self.arity + 1)
 
+    @cached_property
+    def _level_starts(self) -> tuple:
+        """First label of each level, root level first."""
+        return tuple((self.arity ** i - 1) // (self.arity - 1) for i in range(self.levels))
+
     def level_of(self, label: int) -> int:
         if label < 0 or label >= self.node_count:
             raise ValueError(f"label out of range: {label}")
-        level = 1
-        while label > 0:
-            label = (label - 1) // self.arity
-            level += 1
-        return level
+        return bisect_right(self._level_starts, label)
 
     def is_leaf(self, label: int) -> bool:
         return self.first_leaf <= label < self.first_leaf + self.leaf_count
@@ -126,21 +131,19 @@ class BmtState:
         self.keys = keys
         self.counter_lookup = counter_lookup
         self.values: dict = {}
-        self._defaults: dict = {}
-        self.root_register = self.default_value(1)
+        # one little-endian 8-byte tag (crypto.TAG_BYTES) per child
+        self._pack_tags = struct.Struct(f"<{geometry.arity}Q").pack
+        # defaults by level, leaves first; a loop, not recursion, so any depth works
+        value = hash_node(_ZERO_COUNTER_BLOCK, keys)
+        self._defaults = {geometry.levels: value}
+        for level in range(geometry.levels - 1, 0, -1):
+            value = hash_node(self._pack_tags(*[value] * geometry.arity), keys)
+            self._defaults[level] = value
+        self.root_register = value
 
     def default_value(self, level: int) -> int:
         """Value of any untouched node at `level` (all-zero-counter subtree)."""
-        cached = self._defaults.get(level)
-        if cached is not None:
-            return cached
-        if level == self.geometry.levels:
-            value = hash_node(_ZERO_COUNTER_BLOCK, self.keys)
-        else:
-            child = self.default_value(level + 1)
-            value = hash_node(child.to_bytes(TAG_BYTES, "little") * self.geometry.arity, self.keys)
-        self._defaults[level] = value
-        return value
+        return self._defaults[level]
 
     def node_value(self, label: int) -> int:
         stored = self.values.get(label)
@@ -159,11 +162,9 @@ class BmtState:
                 counter_block = self.counter_lookup(self.geometry.page_for_leaf(label))
             block = counter_block.to_block_bytes() if counter_block else _ZERO_COUNTER_BLOCK
             return hash_node(block, self.keys)
-        payload = b"".join(
-            self.node_value(child).to_bytes(TAG_BYTES, "little")
-            for child in self.geometry.children(label)
-        )
-        return hash_node(payload, self.keys)
+        default = self.default_value(self.geometry.level_of(label) + 1)
+        tags = map(self.values.get, self.geometry.children(label), repeat(default))
+        return hash_node(self._pack_tags(*tags), self.keys)
 
     def commit_node(self, label: int, value: int) -> None:
         self.values[label] = value

@@ -22,7 +22,7 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         set_bytes = self.associativity * self.block_size
-        if self.capacity_bytes <= 0 or self.capacity_bytes % set_bytes != 0:
+        if set_bytes <= 0 or self.capacity_bytes <= 0 or self.capacity_bytes % set_bytes != 0:
             raise ValueError("capacity must be a positive multiple of associativity * block size")
 
     @property

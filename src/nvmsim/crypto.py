@@ -52,7 +52,8 @@ def encrypt(plaintext: bytes, addr, counter, keys: KeySet) -> bytes:
     if len(plaintext) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes")
     pad = _pad(keys, addr, counter)
-    return bytes(p ^ q for p, q in zip(plaintext, pad))
+    mixed = int.from_bytes(plaintext, "little") ^ int.from_bytes(pad, "little")
+    return mixed.to_bytes(BLOCK_SIZE, "little")
 
 
 def decrypt(ciphertext: bytes, addr, counter, keys: KeySet) -> bytes:

@@ -23,10 +23,17 @@ Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
 strict-persistency roots exactly equal to persist-order prefixes even
 while younger persists overwrite shared state underneath.
+
+Under epoch persistency, epochs complete strictly in order, at cycles that
+never decrease: an epoch completes only once every older epoch with
+members has.  So the completed epochs are always a prefix of the epochs
+with members, and one index to the oldest open epoch (the watermark)
+answers every "are the older epochs done" question in O(1).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional
@@ -69,6 +76,8 @@ class EngineConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if min(self.wpq_capacity, self.ptt_capacity, self.ett_capacity) < 1:
             raise ValueError("capacities must be >= 1")
+        if self.mac_units < 0:
+            raise ValueError("mac units must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,11 @@ class SimParams:
     ideal_caches: bool = False
     event_log: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.engine_config()  # validates scheme and capacities
+        self.geometry()
+        CacheConfig("metadata", self.cache_kb * 1024, self.cache_assoc)
 
     def replace(self, **kw) -> "SimParams":
         return _dc_replace(self, **kw)
@@ -166,16 +180,13 @@ class PttEntry:
         "ready_cycle",
         "next_idx",
         "inflight",
-        "stop_level",
         "last_plan_idx",
         "gate_count",
         "completed_below",
         "delegated",
         "obligations",
-        "valid",
-        "ready",
         "persisted",
-        "joined",
+        "__weakref__",
     )
 
     def __init__(self, pid, epoch, leaf, path, levels, wpq, ready_cycle):
@@ -188,16 +199,12 @@ class PttEntry:
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
-        self.stop_level = 0  # 0 = walk to the root; >0 = delegate at that level
         self.last_plan_idx = levels - 1
-        self.gate_count = levels  # plan nodes strictly below stop_level
+        self.gate_count = levels  # plan nodes below the merge point, if delegated
         self.completed_below = 0
         self.delegated = False
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
-        self.valid = True
-        self.ready = False
         self.persisted = False
-        self.joined = False  # pipeline wave membership
 
     def level_at(self, idx: int) -> int:
         return self.levels - idx
@@ -215,23 +222,16 @@ class PttEntry:
     def below_done(self) -> bool:
         return self.completed_below >= self.gate_count
 
-    @property
-    def plan_finished(self) -> bool:
-        return not self.inflight and self.next_idx > self.last_plan_idx
-
 
 class EttEntry:
-    """Epoch tracking table entry: order and level occupancy of one epoch."""
+    """Epoch tracking table entry: order and level occupancy of one live epoch."""
 
-    __slots__ = ("epoch", "members", "completed", "level_counts", "start_pid", "end_pid")
+    __slots__ = ("epoch", "incomplete", "level_counts")
 
     def __init__(self, epoch, levels):
         self.epoch = epoch
-        self.members = []
-        self.completed = 0
+        self.incomplete = 0  # members whose tuple has not completed yet
         self.level_counts = [0] * (levels + 1)
-        self.start_pid = None
-        self.end_pid = None
 
     def max_occupied_level(self) -> Optional[int]:
         for level in range(len(self.level_counts) - 1, 0, -1):
@@ -244,7 +244,6 @@ class Simulator:
     """Single-threaded, deterministic event-driven persist-path model."""
 
     def __init__(self, params: SimParams, trace_events) -> None:
-        params.engine_config()  # validates scheme and capacities
         self.params = params
         self.scheme = params.scheme
         self.is_ep = params.scheme in EPOCH_SCHEMES
@@ -278,11 +277,12 @@ class Simulator:
         self.wpq_entries: list = []  # by pid
         self.wpq_occupancy = 0
         self.ptt_order: deque = deque()
-        self.ptt_by_pid: dict = {}
         self.ett_order: deque = deque()
-        self.ett_by_epoch: dict = {}
+        self.ett_by_epoch: dict = {}  # live epochs only; an entry is dropped when it retires
         self.epoch_members: dict = {}
         self.epoch_completion: dict = {}
+        self.member_epochs: list = []  # epochs with members, ascending
+        self.open_idx = 0  # member_epochs[:open_idx] have completed
 
         self.completions: dict = {}
         self.root_history: list = []  # (cycle, pid, value)
@@ -327,7 +327,7 @@ class Simulator:
     # submission
     # ------------------------------------------------------------------
 
-    def _ev_submit(self, ev) -> None:
+    def _ev_submit(self, _payload) -> None:
         now = self.clock
         while self.trace_pos < len(self.trace) and isinstance(self.trace[self.trace_pos], Fence):
             self.epoch_boundary(now)
@@ -366,8 +366,11 @@ class Simulator:
             self.trace_done = True
             # final epoch's membership is closed; it may already be complete
             if self.is_ep:
-                for epoch in list(self.epoch_members):
+                while self.open_idx < len(self.member_epochs):
+                    epoch = self.member_epochs[self.open_idx]
                     self._epoch_maybe_complete(epoch, now)
+                    if epoch not in self.epoch_completion:
+                        break
 
     def epoch_boundary(self, now: int) -> None:
         """Persist fence: subsequent stores belong to the next epoch."""
@@ -417,19 +420,17 @@ class Simulator:
         leaf = self.geometry.leaf_for_page(page)
         entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf),
                          self.geometry.levels, wpq, ready)
-        self.ptt_by_pid[pid] = entry
         self.ptt_order.append(entry)
 
         if self.is_ep:
             ett = self.ett_by_epoch.get(epoch)
             if ett is None:
                 ett = EttEntry(epoch, self.geometry.levels)
-                ett.start_pid = pid
                 self.ett_by_epoch[epoch] = ett
                 self.ett_order.append(ett)
                 self.epoch_members[epoch] = []
-            ett.members.append(entry)
-            ett.end_pid = pid
+                self.member_epochs.append(epoch)
+            ett.incomplete += 1
             ett.level_counts[self.geometry.levels] += 1
             self.epoch_members[epoch].append(pid)
 
@@ -481,7 +482,6 @@ class Simulator:
                 return None
 
         prev.delegated = True
-        prev.stop_level = lca_level
         prev.last_plan_idx = max(levels - lca_level - 1, 0)
         prev.gate_count = levels - lca_level
         completed = prev.next_idx - (1 if prev.inflight else 0)
@@ -518,7 +518,6 @@ class Simulator:
         level = entry.level_at(idx)
         entry.next_idx = idx + 1
         entry.inflight = True
-        entry.ready = False
         self.node_last_issue[label] = now
         self.level_last_issue[level] = now
         if self._issue_cycle != now:
@@ -526,10 +525,8 @@ class Simulator:
             self._issues_this_cycle = 0
         self._issues_this_cycle += 1
 
-        if self.geometry.is_leaf(label):
-            value = self.bmt.compute_node(label, entry.wpq.counter_block)
-        else:
-            value = self.bmt.compute_node(label)
+        # the carried counter block is read only when `label` is the leaf
+        value = self.bmt.compute_node(label, entry.wpq.counter_block)
 
         hit = self.bmt_cache.access(label, write=True)
         if hit:
@@ -548,12 +545,11 @@ class Simulator:
         else:
             self.events.push(now + self.latency.cache_fill, FILL_DONE, self._ev_fill_done, payload)
 
-    def _ev_fill_done(self, ev) -> None:
-        entry, label, level, value, start, commit = ev.payload
-        self.events.push(commit, MAC_DONE, self._ev_mac_done, ev.payload)
+    def _ev_fill_done(self, payload) -> None:
+        self.events.push(payload[5], MAC_DONE, self._ev_mac_done, payload)
 
-    def _ev_mac_done(self, ev) -> None:
-        entry, label, level, value, start, _commit = ev.payload
+    def _ev_mac_done(self, payload) -> None:
+        entry, label, level, value, start, _commit = payload
         now = self.clock
         self.bmt.commit_node(label, value)
         self.stats["node_updates"] += 1
@@ -561,7 +557,6 @@ class Simulator:
             self.update_log.append((start, now, entry.pid, entry.epoch, label, level))
 
         entry.inflight = False
-        entry.ready = True
         idx = entry.next_idx - 1
         if idx < entry.gate_count:
             entry.completed_below += 1
@@ -603,8 +598,7 @@ class Simulator:
         if entry.persisted:
             return
         entry.persisted = True
-        entry.valid = False
-        wpq = self.wpq_entries[entry.pid]
+        wpq = entry.wpq
         wpq.root_done_cycle = now
         self._dealloc_ptt(now)
         self._check_complete(wpq, now)
@@ -627,7 +621,7 @@ class Simulator:
             self._kick_cycles.add(cycle)
             self.events.push(cycle, KICK, self._ev_kick)
 
-    def _ev_kick(self, ev) -> None:
+    def _ev_kick(self, _payload) -> None:
         self._kick_cycles.discard(self.clock)
         self._dispatch(self.clock)
 
@@ -663,7 +657,6 @@ class Simulator:
             head = self.pending_join[0]
             if head.ready_cycle <= now:
                 self.pending_join.popleft()
-                head.joined = True
                 self.wave_members.append(head)
             else:
                 self._schedule_kick(head.ready_cycle)
@@ -717,8 +710,8 @@ class Simulator:
     # WPQ lifecycle
     # ------------------------------------------------------------------
 
-    def _ev_arrival(self, ev) -> None:
-        pid, comp = ev.payload
+    def _ev_arrival(self, payload) -> None:
+        pid, comp = payload
         wpq = self.wpq_entries[pid]
         wpq.arrivals[comp] = self.clock
         self._check_complete(wpq, self.clock)
@@ -734,9 +727,7 @@ class Simulator:
         self.completions[wpq.pid] = now
         self.stats["persists_completed"] += 1
         if self.is_ep:
-            ett = self.ett_by_epoch.get(wpq.epoch)
-            if ett is not None:
-                ett.completed += 1
+            self.ett_by_epoch[wpq.epoch].incomplete -= 1
             self._epoch_maybe_complete(wpq.epoch, now)
         else:
             self._maybe_drain(wpq, now)
@@ -744,77 +735,57 @@ class Simulator:
             self.seq_active = None
             self._seq_try_start(now)
 
-    def _epoch_membership_final(self, epoch: int) -> bool:
-        return epoch < self.current_epoch or self.trace_done
-
     def epoch_unlocked_now(self, epoch: int) -> bool:
         """True when every older epoch with members has fully completed."""
-        for older in self.epoch_members:
-            if older >= epoch:
-                break
-            if older not in self.epoch_completion:
-                return False
-        return True
+        return bisect_left(self.member_epochs, epoch) <= self.open_idx
 
     def _epoch_maybe_complete(self, epoch: int, now: int) -> None:
-        if epoch in self.epoch_completion or epoch not in self.epoch_members:
+        # epochs complete strictly in order, so only the oldest open epoch
+        # can; a younger epoch whose tuples all arrived early still waits
+        # for every older boundary
+        if self.open_idx >= len(self.member_epochs) or self.member_epochs[self.open_idx] != epoch:
             return
-        if not self._epoch_membership_final(epoch):
-            return
-        # epochs complete strictly in order; a younger epoch whose tuples all
-        # arrived early still waits for every older boundary
-        for older in self.epoch_members:
-            if older >= epoch:
-                break
-            if older not in self.epoch_completion:
-                return
-        members = self.epoch_members[epoch]
-        if any(self.wpq_entries[pid].complete_cycle is None for pid in members):
+        membership_final = epoch < self.current_epoch or self.trace_done
+        if not membership_final or self.ett_by_epoch[epoch].incomplete:
             return
         self.epoch_completion[epoch] = now
-        retired = False
-        while self.ett_order and self.ett_order[0].epoch in self.epoch_completion:
-            self.ett_order.popleft()
-            retired = True
-        if retired:
-            self._wake_submit(now)
-        for pid in members:
+        self.open_idx += 1
+        # the completing epoch is the oldest live one, so it heads the ETT
+        self.ett_order.popleft()
+        del self.ett_by_epoch[epoch]
+        self._wake_submit(now)
+        for pid in self.epoch_members[epoch]:
             self._maybe_drain(self.wpq_entries[pid], now)
         # successor epoch's entries unlock strictly after this boundary
         self._schedule_kick(now + 1)
         self.events.push(now + 1, KICK, self._ev_unlock_sweep)
 
-    def _ev_unlock_sweep(self, ev) -> None:
+    def _ev_unlock_sweep(self, _payload) -> None:
+        if self.open_idx >= len(self.member_epochs):
+            return
         now = self.clock
-        for epoch in self.epoch_members:
-            if epoch in self.epoch_completion:
-                continue
-            # the successor may have been waiting only on the boundary order
-            self._epoch_maybe_complete(epoch, now)
-            if epoch in self.epoch_completion:
-                break
-            if self.epoch_unlocked_now(epoch):
-                for pid in self.epoch_members[epoch]:
-                    wpq = self.wpq_entries[pid]
-                    if wpq.all_arrived():
-                        self._maybe_drain(wpq, now)
-            break
+        epoch = self.member_epochs[self.open_idx]
+        # the successor may have been waiting only on the boundary order
+        self._epoch_maybe_complete(epoch, now)
+        if epoch not in self.epoch_completion:
+            for pid in self.epoch_members[epoch]:
+                wpq = self.wpq_entries[pid]
+                if wpq.all_arrived():
+                    self._maybe_drain(wpq, now)
 
     def unlock_cycle(self, epoch: int) -> Optional[int]:
         """Cycle from which this epoch's WPQ entries stop being invalidatable.
 
         The oldest epoch is unlocked from the start; epoch e unlocks one
         cycle after the last older epoch completed.  None while still locked.
+        Because epochs complete in order at non-decreasing cycles, that is
+        the completion cycle of the nearest older epoch with members, plus 1.
         """
-        latest = 0
-        for older in self.epoch_members:
-            if older >= epoch:
-                break
-            done = self.epoch_completion.get(older)
-            if done is None:
-                return None
-            latest = max(latest, done + 1)
-        return latest
+        idx = bisect_left(self.member_epochs, epoch)
+        if idx == 0:
+            return 0
+        done = self.epoch_completion.get(self.member_epochs[idx - 1])
+        return None if done is None else done + 1
 
     # drains -------------------------------------------------------------
 
@@ -841,7 +812,7 @@ class Simulator:
         self.drain_scheduled = True
         self.events.push(max(now, self.next_drain_free), DRAIN, self._ev_drain)
 
-    def _ev_drain(self, ev) -> None:
+    def _ev_drain(self, _payload) -> None:
         now = self.clock
         self.drain_scheduled = False
         if not self.drain_eligible:

@@ -9,26 +9,22 @@ them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 # kind priorities: completions settle before arrivals, bookkeeping and new
 # work within one cycle; the numeric order below is the tie-break contract
 FILL_DONE = 0
 MAC_DONE = 1
 ARRIVAL = 2
-EPOCH_RETIRE = 3
-UNLOCK = 4
-DRAIN = 5
-SUBMIT = 6
-KICK = 7
+DRAIN = 3
+SUBMIT = 4
+KICK = 5
 
 KIND_NAMES = {
     FILL_DONE: "fill-done",
     MAC_DONE: "mac-done",
     ARRIVAL: "tuple-component-arrived",
-    EPOCH_RETIRE: "epoch-retire",
-    UNLOCK: "unlock",
     DRAIN: "drain",
     SUBMIT: "submit",
     KICK: "kick",
@@ -52,29 +48,22 @@ class LatencyConfig:
             raise ValueError("drain interval must be >= 1")
 
 
-@dataclass(order=True)
-class Event:
-    cycle: int
-    kind: int
-    seq: int
-    payload: Any = field(compare=False, default=None)
-    handler: Optional[Callable] = field(compare=False, default=None)
-
-
 class EventQueue:
-    """Min-heap of events with a deterministic total order."""
+    """Min-heap of ``(cycle, kind, seq, handler, payload)`` tuples.
+
+    The unique sequence number decides every tie before the handler, so
+    tuple comparison gives a deterministic total order.
+    """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
 
-    def push(self, cycle: int, kind: int, handler: Callable, payload: Any = None) -> Event:
-        ev = Event(cycle, kind, self._seq, payload, handler)
+    def push(self, cycle: int, kind: int, handler: Callable, payload: Any = None) -> None:
+        heapq.heappush(self._heap, (cycle, kind, self._seq, handler, payload))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
 
-    def pop(self) -> Event:
+    def pop(self) -> tuple:
         return heapq.heappop(self._heap)
 
     def __len__(self) -> int:
@@ -96,11 +85,11 @@ def run_until_idle(sim) -> dict:
     """
     queue = sim.events
     while queue:
-        ev = queue.pop()
-        if ev.cycle < sim.clock:
-            raise AssertionError(f"event scheduled in the past: {ev}")
-        sim.clock = ev.cycle
-        ev.handler(ev)
+        cycle, kind, _seq, handler, payload = queue.pop()
+        if cycle < sim.clock:
+            raise AssertionError(f"{KIND_NAMES[kind]} event scheduled in the past: cycle {cycle}")
+        sim.clock = cycle
+        handler(payload)
     pending = sim.outstanding_persists()
     stalled = sim.pending_trace_events()
     if pending or stalled:

@@ -100,6 +100,7 @@ def test_crash_sweep_omission_matrix(capsys):
     assert code == EXIT_OK
     result = json.loads(out)
     assert all(row["match"] for row in result["omission_matrix"].values())
+    assert {row["comparison"] for row in result["omission_matrix"].values()} == {"exact"}
 
 
 def test_crash_sweep_zero_points_usage_error(capsys):
@@ -164,3 +165,60 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_missing_trace_file(capsys):
     code, _, err = run_cli(capsys, "run", "--trace", "/nonexistent/x.trace", *BASE)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--mac-latency", "-1", *BASE),
+        ("run", "--wpq-capacity", "0", *BASE),
+        ("run", "--arity", "1", *BASE),
+        ("run", "--cache-assoc", "0", *BASE),
+        ("run", "--mac-units", "-1", *BASE),
+        ("sweep", "--axis", "mac-latency", "--values", "a,b", *BASE),
+        ("sweep", "--axis", "cache-kb", "--values", "0", *BASE),
+        ("crash-sweep", "--omission-matrix", *BASE, "--gen-stores", "0"),
+    ],
+    ids=["negative-mac-latency", "zero-wpq-capacity", "arity-one", "zero-cache-assoc",
+         "negative-mac-units", "non-integer-sweep-values", "zero-cache-kb-sweep-value",
+         "omission-matrix-without-stores"],
+)
+def test_bad_input_is_usage_error_with_message(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: ")
+
+
+def test_trace_path_that_is_a_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify-trace", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+
+
+def test_deep_tree_runs(capsys):
+    # tree defaults are built by a loop: 1,100 levels once overflowed the stack
+    code, out, _ = run_cli(capsys, "run", "--levels", "1100", "--ideal-caches", "--gen-stores", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["stats"]["node_updates"] == 1100
+
+
+def test_trace_page_beyond_capacity_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "far.trace"
+    path.write_text("S 0x258000\n")  # page 600; 4 levels of arity 8 protect 512 pages
+    code, _, err = run_cli(capsys, "run", "--levels", "4", "--trace", str(path))
+    assert code == EXIT_USAGE
+    assert "page 600" in err and "512 pages" in err
+
+
+def test_omission_matrix_cut_inside_the_epoch_needs_only_contain_the_row(capsys):
+    # seed 13: the last persist completes before the rest of its epoch, so the
+    # other root effects of that epoch add a bmt-failure to some rows
+    code, out, _ = run_cli(
+        capsys, "crash-sweep", "--omission-matrix", "--scheme", "ooo", "--seed", "13",
+        "--gen-stores", "512", "--gen-pages", "64", "--gen-run-length", "4", "--epoch-size", "8",
+    )
+    assert code == EXIT_OK
+    rows = json.loads(out)["omission_matrix"]
+    assert {row["comparison"] for row in rows.values()} == {"contains"}
+    assert all(row["match"] for row in rows.values())
+    assert any(row["got"] != row["expected"] for row in rows.values())

@@ -4,6 +4,7 @@ import pytest
 
 from nvmsim.crypto import (
     KeySet,
+    _pad,
     decrypt,
     encrypt,
     hash_node,
@@ -105,3 +106,13 @@ def test_payload_block_deterministic():
     assert payload_block(7) == payload_block(7)
     assert payload_block(7) != payload_block(8)
     assert len(payload_block(7)) == 64
+
+
+def test_encrypt_matches_per_byte_xor():
+    rng = random.Random(11)
+    for i in range(2000):
+        plain = rng.randbytes(64)
+        addr = rng.randrange(1 << 40) * 64
+        counter = (rng.randrange(1 << 20), rng.randrange(1 << 7))
+        reference = bytes(p ^ q for p, q in zip(plain, _pad(KEYS, addr, counter)))
+        assert encrypt(plain, addr, counter, KEYS) == reference

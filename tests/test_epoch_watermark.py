@@ -1,0 +1,90 @@
+"""The epoch watermark against full scans of every epoch, and bounded tracking state.
+
+``unlock_cycle`` and ``epoch_unlocked_now`` look at one epoch only,
+because epochs complete in order at cycles that never decrease.  The
+reference functions below scan every epoch seen so far and need no such
+invariant; the two must agree at every event of a run.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from nvmsim import SCHEMES, SimParams, Simulator, parse, run_until_idle
+
+from conftest import page_addr, trace_text
+
+
+def reference_unlock_cycle(sim, epoch):
+    latest = 0
+    for older in sim.epoch_members:
+        if older >= epoch:
+            break
+        done = sim.epoch_completion.get(older)
+        if done is None:
+            return None
+        latest = max(latest, done + 1)
+    return latest
+
+
+def reference_unlocked_now(sim, epoch):
+    return all(older in sim.epoch_completion for older in sim.epoch_members if older < epoch)
+
+
+def ep_trace(rng, fence_every):
+    """Random stores with a fence every `fence_every` stores, plus runs of
+    extra fences that leave epochs empty (``F F F``)."""
+    items = []
+    for i in range(rng.randrange(6, 40)):
+        if i and i % fence_every == 0:
+            items.extend(["F"] * rng.choice((1, 1, 2, 3)))
+        items.append(page_addr(rng.randrange(6), rng.randrange(64)))
+    if rng.random() < 0.3:
+        items = ["F", "F"] + items
+    return trace_text(*items)
+
+
+def step(sim):
+    """Fire the next event exactly as run_until_idle does."""
+    cycle, _kind, _seq, handler, payload = sim.events.pop()
+    sim.clock = cycle
+    handler(payload)
+
+
+@pytest.mark.parametrize("scheme", ["ooo", "coalesce"])
+def test_watermark_matches_full_scan_at_every_event(scheme):
+    rng = random.Random(2 if scheme == "ooo" else 3)
+    for trial in range(30):
+        fence_every = 1 + trial % 9
+        ett_capacity = 1 + trial % 3
+        text = ep_trace(rng, fence_every)
+        sim = Simulator(
+            SimParams(scheme=scheme, levels=4, ideal_caches=trial % 2 == 0, ett_capacity=ett_capacity),
+            parse(text),
+        )
+        while sim.events:
+            step(sim)
+            for entry in sim.wpq_entries:
+                assert sim.unlock_cycle(entry.epoch) == reference_unlock_cycle(sim, entry.epoch)
+                assert sim.epoch_unlocked_now(entry.epoch) == reference_unlocked_now(sim, entry.epoch)
+        assert not sim.outstanding_persists()
+        # the invariant the watermark rests on
+        assert list(sim.epoch_completion) == list(sim.epoch_members)
+        cycles = [sim.epoch_completion[e] for e in sorted(sim.epoch_completion)]
+        assert cycles == sorted(cycles)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tracking_state_is_freed_after_persist(scheme):
+    text = trace_text(*[page_addr(i % 5, i % 17) for i in range(40)], "F", page_addr(1))
+    sim = Simulator(SimParams(scheme=scheme, levels=4, ideal_caches=True, ett_capacity=1), parse(text))
+    while not sim.ptt_order:
+        step(sim)
+    first = weakref.ref(sim.ptt_order[0])
+    run_until_idle(sim)
+    gc.collect()
+    assert first() is None
+    assert not sim.ett_by_epoch
+    assert not sim.ett_order
