@@ -1,0 +1,89 @@
+"""Behaviour lock of the four schedulers over a grid of small configurations.
+
+Every case runs 60 generated stores and is pinned by its last completion
+cycle, node-update count, root register, a digest of the update log and a
+digest of every persist's ``(complete_cycle, drained_cycle)``.  The grid
+covers what the benchmark's pins do not: capacities of 1, real 1 KB caches,
+one shared MAC unit, binary trees and traces with and without fences.
+Stall cycles are not pinned, so their accounting may change on its own.
+
+Re-pin after an intended change of simulated behaviour with
+``PYTHONPATH=src python tests/test_schedule_lock.py``.
+"""
+
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from nvmsim import SCHEMES, GenSpec, SimParams, Simulator, generate, run_until_idle
+
+PINS = Path(__file__).parent / "data" / "schedule_pins.json"
+
+GRID = {
+    "arity": (2, 8),
+    "capacity": (1, 64),
+    "cache_kb": (0, 1),  # 0 = ideal caches
+    "mac_units": (0, 1),
+    "fence": (0, 5),
+}
+
+
+def cases(scheme):
+    for values in itertools.product(*GRID.values()):
+        yield dict(zip(GRID, values), scheme=scheme)
+
+
+def case_id(case) -> str:
+    return ",".join(f"{key}={case[key]}" for key in ("scheme", *GRID))
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def outcome(case) -> dict:
+    capacity = case["capacity"]
+    params = SimParams(
+        scheme=case["scheme"],
+        arity=case["arity"],
+        levels=5 if case["arity"] == 2 else 4,
+        wpq_capacity=capacity,
+        ptt_capacity=capacity,
+        ett_capacity=capacity,
+        mac_units=case["mac_units"],
+        cache_kb=case["cache_kb"] or 1,
+        ideal_caches=case["cache_kb"] == 0,
+    )
+    trace = generate(GenSpec(store_count=60, pages=16, run_length=3,
+                             fence_interval=case["fence"], seed=5))
+    sim = Simulator(params, trace)
+    run_until_idle(sim)
+    stats = sim.stats_dict()
+    return {
+        "last_completion_cycle": stats["last_completion_cycle"],
+        "node_updates": stats["node_updates"],
+        "root_register": f"{sim.bmt.root_register:016x}",
+        "update_log": _digest(sim.update_log),
+        "persists": _digest([(e.complete_cycle, e.drained_cycle) for e in sim.wpq_entries]),
+    }
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_schedule_matches_pins(scheme):
+    pins = json.loads(PINS.read_text())
+    mismatches = []
+    for case in cases(scheme):
+        key = case_id(case)
+        got = outcome(case)
+        if pins.get(key) != got:
+            mismatches.append(f"{key}: pinned {pins.get(key)}, got {got}")
+    assert not mismatches, "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    pins = {case_id(c): outcome(c) for scheme in SCHEMES for c in cases(scheme)}
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"pinned {len(pins)} cases in {PINS}")
