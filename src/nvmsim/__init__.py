@@ -14,17 +14,15 @@ from .model_core import (
     PAGE_SIZE,
     BlockAddr,
     GoldenMemory,
-    MemoryTuple,
     MisalignedAddress,
     SplitCounter,
-    bump_counter,
 )
 from .crypto import KeySet, decrypt, encrypt, hash_node, mac_tag, verify_mac
 from .bmt import BmtGeometry, BmtState, IntegrityFailure, rebuild_from_counters
 from .caches import CacheConfig, MetadataCache
 from .trace import Fence, GenSpec, Store, TraceParseError, generate, parse, render
 from .timing import DeadlockError, EventQueue, LatencyConfig, run_until_idle, throughput_probe
-from .engine import SCHEMES, EngineConfig, SimParams, Simulator
+from .engine import SCHEMES, SimParams, Simulator
 from .crash import CrashPlan, RecoveryReport, Violation, check_prefix_consistency, crash, recover
 
 __version__ = "0.1.0"
@@ -38,7 +36,6 @@ __all__ = [
     "CacheConfig",
     "CrashPlan",
     "DeadlockError",
-    "EngineConfig",
     "EventQueue",
     "Fence",
     "GenSpec",
@@ -46,7 +43,6 @@ __all__ = [
     "IntegrityFailure",
     "KeySet",
     "LatencyConfig",
-    "MemoryTuple",
     "MetadataCache",
     "MisalignedAddress",
     "RecoveryReport",
@@ -57,7 +53,6 @@ __all__ = [
     "Store",
     "TraceParseError",
     "Violation",
-    "bump_counter",
     "check_prefix_consistency",
     "crash",
     "decrypt",

@@ -1,14 +1,14 @@
 """Set-associative metadata caches (counter, MAC and tree-node caches).
 
-LRU replacement, write-through by default (persists in this model always
-flow through the write-pending queue, so a completed persist leaves no
-dirty metadata behind).  Crash semantics are a flush: cached state is
+LRU replacement.  Persists in this model always flow through the
+write-pending queue, so the caches only decide hit or fill latency and
+never hold dirty metadata.  Crash semantics are a flush: cached state is
 volatile and lost with power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model_core import BLOCK_SIZE
 
@@ -36,7 +36,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -48,7 +47,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "writebacks": self.writebacks,
             "hit_ratio": round(self.hit_ratio, 6),
         }
 
@@ -58,65 +56,43 @@ class MetadataCache:
 
     ``ideal`` turns every access into a hit (used to reproduce closed-form
     timing where fill latency must not disturb the arithmetic).
-    ``write_through`` keeps lines clean on write, so no dirty victim ever
-    needs a writeback; the write-back mode exists for completeness and
-    emits a writeback count on dirty eviction.
     """
 
-    def __init__(self, config: CacheConfig, ideal: bool = False, write_through: bool = True) -> None:
+    def __init__(self, config: CacheConfig, ideal: bool = False) -> None:
         self.config = config
         self.ideal = ideal
-        self.write_through = write_through
         # per set: list of keys, most-recent last
         self._sets: list = [[] for _ in range(config.num_sets)]
-        self._dirty: set = set()
         self.stats = CacheStats()
 
     def _set_for(self, key: int) -> list:
         return self._sets[key % self.config.num_sets]
 
-    def access(self, key: int, write: bool = False) -> bool:
+    def access(self, key: int) -> bool:
         """Look up one block; returns True on hit.
 
         On a miss the line is filled immediately (the caller charges the
-        fill latency) and the LRU victim of the set is evicted.
+        fill latency) and the LRU victim of the set is evicted.  An ideal
+        cache hits even on a block it does not hold, and fills it.
         """
         self.stats.accesses += 1
         lines = self._set_for(key)
-        if self.ideal:
-            self.stats.hits += 1
-            if key in lines:
-                lines.remove(key)
-            lines.append(key)
-            if write and not self.write_through:
-                self._dirty.add(key)
-            return True
         if key in lines:
-            self.stats.hits += 1
             lines.remove(key)
+        elif not self.ideal:
+            self.stats.misses += 1
+            if len(lines) >= self.config.associativity:
+                lines.pop(0)
+                self.stats.evictions += 1
             lines.append(key)
-            if write and not self.write_through:
-                self._dirty.add(key)
-            return True
-        self.stats.misses += 1
-        if len(lines) >= self.config.associativity:
-            victim = lines.pop(0)
-            self.stats.evictions += 1
-            if victim in self._dirty:
-                self._dirty.discard(victim)
-                self.stats.writebacks += 1
+            return False
+        self.stats.hits += 1
         lines.append(key)
-        if write and not self.write_through:
-            self._dirty.add(key)
-        return False
+        return True
 
     def contains(self, key: int) -> bool:
         return key in self._set_for(key)
 
-    def dirty_count(self) -> int:
-        return len(self._dirty)
-
     def flush_volatile(self) -> None:
         """Crash semantics: all cached metadata is gone. Idempotent."""
         self._sets = [[] for _ in range(self.config.num_sets)]
-        self._dirty.clear()

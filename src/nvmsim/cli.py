@@ -15,7 +15,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field, replace as _dc_replace
+from dataclasses import asdict, dataclass, fields, replace as _dc_replace
 from typing import Optional
 
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
@@ -65,29 +65,13 @@ class RunConfig:
     def replace(self, **kw) -> "RunConfig":
         return _dc_replace(self, **kw)
 
+    def _fields_of(self, cls) -> dict:
+        """This config's values of the fields it shares with dataclass ``cls``."""
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in self.__dataclass_fields__}
+
     def sim_params(self) -> SimParams:
-        return SimParams(
-            scheme=self.scheme,
-            arity=self.arity,
-            levels=self.levels,
-            latency=LatencyConfig(
-                mac_latency=self.mac_latency,
-                cache_hit=self.cache_hit,
-                cache_fill=self.cache_fill,
-                wpq_enqueue=self.wpq_enqueue,
-                drain_interval=self.drain_interval,
-            ),
-            wpq_capacity=self.wpq_capacity,
-            ptt_capacity=self.ptt_capacity,
-            ett_capacity=self.ett_capacity,
-            epoch_size=self.epoch_size,
-            mac_units=self.mac_units,
-            cache_kb=self.cache_kb,
-            cache_assoc=self.cache_assoc,
-            ideal_caches=self.ideal_caches,
-            event_log=self.event_log,
-            seed=self.seed,
-        )
+        return SimParams(latency=LatencyConfig(**self._fields_of(LatencyConfig)),
+                         **self._fields_of(SimParams))
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

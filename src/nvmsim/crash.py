@@ -34,7 +34,6 @@ class CrashPlan:
     persist_id: Optional[int] = None
     epoch: Optional[int] = None
     component: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in CRASH_MODES:
@@ -125,9 +124,6 @@ class Violation:
     invariant: str
     detail: str
 
-    def __bool__(self) -> bool:  # a violation is truthy but reads as failure
-        return True
-
 
 @dataclass
 class ConsistencyResult:
@@ -154,18 +150,15 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
 def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     """Cut the run at the plan's point and fold the durable state.
 
-    Volatile state (metadata caches, tracking tables) is discarded; under
-    strict persistency an entry survives only if its whole tuple completed
-    by the cut, under epoch persistency individual components survive once
-    arrived and their epoch is unlocked.  In tuple-omission mode the named
-    component of the named persist is deleted after the cut.
+    The run is only read, never changed.  Volatile state (metadata caches,
+    tracking tables) is left out of the snapshot; under strict persistency
+    an entry survives only if its whole tuple completed by the cut, under
+    epoch persistency individual components survive once arrived and their
+    epoch is unlocked.  In tuple-omission mode the named component of the
+    named persist is deleted after the cut.
     """
     cut = _resolve_cut(sim, plan)
     omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else None
-
-    sim.counter_cache.flush_volatile()
-    sim.mac_cache.flush_volatile()
-    sim.bmt_cache.flush_volatile()
 
     is_ep = sim.is_ep
     data: dict = {}

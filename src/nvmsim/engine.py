@@ -1,23 +1,30 @@
 """Persist engine: write-pending queue, persist/epoch tracking tables and
 the four BMT update schedulers.
 
-Scheme summary:
+Every persist waits in one queue, ``ptt_order`` (the persist tracking
+table in submission order, persisted entries popped from its head).  The
+schemes differ only in the dispatch policy that picks which queued
+persists issue their next node update, run on every kick, after every
+node update and, under ``sequential``, on every tuple completion:
 
-* ``sequential``  - strict persistency, one persist owns the whole tree
-  update path at a time; the next leaf update starts only after the
-  previous persist's full tuple (including the root effect) completed.
-* ``pipeline``    - strict persistency, lockstep waves: every tracked
-  persist sits on a distinct tree level and the whole set advances one
-  level when all of them finished their current node, so root updates
-  retire in allocation order at one per MAC latency.
+* ``sequential``  - strict persistency: only the head issues, and a fresh
+  head starts only once it is ready and persist ``pid - 1`` completed its
+  whole tuple (including the root effect), so one persist owns the whole
+  tree update path at a time.
+* ``pipeline``    - strict persistency, lockstep waves: when no update is
+  in flight, the ready head of the unstarted persists joins and every
+  started persist issues, so each sits on a distinct tree level and root
+  updates retire at one per MAC latency.  Persists reach the root in the
+  order they joined, so the started ones are always a prefix of
+  ``ptt_order`` and the first unstarted entry is the next to join.
 * ``ooo``         - epoch persistency: persists of the same epoch climb
   independently; a level may only be occupied by one epoch at a time
   (younger epochs stay strictly deeper than any older epoch's deepest
   straggler), which kills cross-epoch write-after-write hazards.
-* ``coalesce``    - ooo plus paired update coalescing: a new persist
-  adopts its predecessor's remaining path at their least common
-  ancestor; the leading persist stops below the merge point and the
-  trailing one carries the update from there to the root.
+* ``coalesce``    - the ooo policy plus paired update coalescing at
+  submission: a new persist adopts its predecessor's remaining path at
+  their least common ancestor; the leading persist stops below the merge
+  point and the trailing one carries the update from there to the root.
 
 Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
@@ -61,26 +68,6 @@ COMPONENTS = ("ciphertext", "counter", "mac")
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Scheduler structure sizes; epoch_size is a workload hint, not a gate."""
-
-    scheme: str = "sequential"
-    wpq_capacity: int = 128
-    ptt_capacity: int = 64
-    ett_capacity: int = 2
-    epoch_size: int = 32
-    mac_units: int = 0  # 0 = one pipelined unit per tree level (ooo/coalesce)
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if min(self.wpq_capacity, self.ptt_capacity, self.ett_capacity) < 1:
-            raise ValueError("capacities must be >= 1")
-        if self.mac_units < 0:
-            raise ValueError("mac units must be >= 0")
-
-
-@dataclass(frozen=True)
 class SimParams:
     """Flat bundle of every knob a single simulation needs."""
 
@@ -91,8 +78,7 @@ class SimParams:
     wpq_capacity: int = 128
     ptt_capacity: int = 64
     ett_capacity: int = 2
-    epoch_size: int = 32
-    mac_units: int = 0
+    mac_units: int = 0  # 0 = one pipelined unit per tree level (ooo/coalesce)
     cache_kb: int = 128
     cache_assoc: int = 8
     ideal_caches: bool = False
@@ -100,7 +86,12 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.engine_config()  # validates scheme and capacities
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        if min(self.wpq_capacity, self.ptt_capacity, self.ett_capacity) < 1:
+            raise ValueError("capacities must be >= 1")
+        if self.mac_units < 0:
+            raise ValueError("mac units must be >= 0")
         self.geometry()
         CacheConfig("metadata", self.cache_kb * 1024, self.cache_assoc)
 
@@ -109,16 +100,6 @@ class SimParams:
 
     def geometry(self) -> BmtGeometry:
         return BmtGeometry(self.arity, self.levels)
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            scheme=self.scheme,
-            wpq_capacity=self.wpq_capacity,
-            ptt_capacity=self.ptt_capacity,
-            ett_capacity=self.ett_capacity,
-            epoch_size=self.epoch_size,
-            mac_units=self.mac_units,
-        )
 
 
 class WpqEntry:
@@ -284,16 +265,13 @@ class Simulator:
         self.member_epochs: list = []  # epochs with members, ascending
         self.open_idx = 0  # member_epochs[:open_idx] have completed
 
-        self.completions: dict = {}
         self.root_history: list = []  # (cycle, pid, value)
         self.update_log: list = []  # (start, end, pid, epoch, label, level)
 
-        # scheduler state
-        self.seq_queue: deque = deque()
-        self.seq_active: Optional[PttEntry] = None
-        self.wave_members: list = []
-        self.wave_inflight = 0
-        self.pending_join: deque = deque()
+        # scheduler state; the policy is a plain function, called as
+        # self._dispatch(self, now), so no bound method refers back to self
+        self._dispatch = _POLICIES[params.scheme]
+        self.inflight_updates = 0
         self.node_last_issue: dict = {}
         self.node_commit_horizon: dict = {}
         self.level_last_issue: dict = {}
@@ -365,18 +343,17 @@ class Simulator:
         if not self.trace_done:
             self.trace_done = True
             # final epoch's membership is closed; it may already be complete
-            if self.is_ep:
-                while self.open_idx < len(self.member_epochs):
-                    epoch = self.member_epochs[self.open_idx]
-                    self._epoch_maybe_complete(epoch, now)
-                    if epoch not in self.epoch_completion:
-                        break
+            while self.open_idx < len(self.member_epochs):
+                epoch = self.member_epochs[self.open_idx]
+                self._epoch_maybe_complete(epoch, now)
+                if epoch not in self.epoch_completion:
+                    break
 
     def epoch_boundary(self, now: int) -> None:
         """Persist fence: subsequent stores belong to the next epoch."""
         closed = self.current_epoch
         self.current_epoch += 1
-        if self.is_ep and closed in self.epoch_members:
+        if closed in self.epoch_members:
             self._epoch_maybe_complete(closed, now)
 
     def _submit_store(self, store: Store, epoch: int, now: int) -> None:
@@ -403,14 +380,14 @@ class Simulator:
         # counter block access decides when the new counter (and thus the
         # leaf update and tuple components) is available; bumps to one page
         # chain on the same block, so readiness is non-decreasing per page
-        hit = self.counter_cache.access(page, write=True)
+        hit = self.counter_cache.access(page)
         if hit:
             ready = now + self.latency.cache_hit
         else:
             ready = now + self.latency.cache_fill + self.latency.mac_latency
         ready = max(ready, self.page_ready.get(page, 0))
         self.page_ready[page] = ready
-        self.mac_cache.access((addr.value // BLOCK_SIZE) // 8, write=True)
+        self.mac_cache.access((addr.value // BLOCK_SIZE) // 8)
 
         for comp in COMPONENTS:
             self.events.push(
@@ -437,15 +414,7 @@ class Simulator:
         if self.scheme == "coalesce":
             self.coalesce_pair(entry, self.last_submitted)
         self.last_submitted = entry
-
-        if self.scheme == "sequential":
-            self.seq_queue.append(entry)
-            self._schedule_kick(ready)
-        elif self.scheme == "pipeline":
-            self.pending_join.append(entry)
-            self._schedule_kick(ready)
-        else:
-            self._schedule_kick(ready)
+        self._schedule_kick(ready)
 
     def _wake_submit(self, now: int) -> None:
         if self._submit_waiting:
@@ -496,7 +465,7 @@ class Simulator:
                 keep.append((ob_level, leader))
         prev.obligations = keep
 
-        if self.is_ep and not prev.inflight:
+        if not prev.inflight:
             # truncation may have emptied the remaining plan: vacate the level
             pending_after = prev.pending_level
             old_pending = levels - prev.next_idx
@@ -518,6 +487,7 @@ class Simulator:
         level = entry.level_at(idx)
         entry.next_idx = idx + 1
         entry.inflight = True
+        self.inflight_updates += 1
         self.node_last_issue[label] = now
         self.level_last_issue[level] = now
         if self._issue_cycle != now:
@@ -528,7 +498,7 @@ class Simulator:
         # the carried counter block is read only when `label` is the leaf
         value = self.bmt.compute_node(label, entry.wpq.counter_block)
 
-        hit = self.bmt_cache.access(label, write=True)
+        hit = self.bmt_cache.access(label)
         if hit:
             duration = self.latency.mac_latency
         else:
@@ -557,6 +527,7 @@ class Simulator:
             self.update_log.append((start, now, entry.pid, entry.epoch, label, level))
 
         entry.inflight = False
+        self.inflight_updates -= 1
         idx = entry.next_idx - 1
         if idx < entry.gate_count:
             entry.completed_below += 1
@@ -584,15 +555,7 @@ class Simulator:
                     remaining.append((ob_level, leader))
             entry.obligations = remaining
 
-        if self.scheme == "sequential":
-            if entry.next_idx <= entry.last_plan_idx:
-                self._issue_update(entry, now)
-        elif self.scheme == "pipeline":
-            self.wave_inflight -= 1
-            if self.wave_inflight == 0:
-                self._pipe_boundary(now)
-        else:
-            self._ooo_kick(now)
+        self._dispatch(self, now)
 
     def _mark_persisted(self, entry: PttEntry, now: int) -> None:
         if entry.persisted:
@@ -612,7 +575,7 @@ class Simulator:
             self._wake_submit(now)
 
     # ------------------------------------------------------------------
-    # per-scheme scheduling
+    # dispatch policies over ptt_order, one per scheme (see _POLICIES)
     # ------------------------------------------------------------------
 
     def _schedule_kick(self, cycle: int) -> None:
@@ -623,48 +586,43 @@ class Simulator:
 
     def _ev_kick(self, _payload) -> None:
         self._kick_cycles.discard(self.clock)
-        self._dispatch(self.clock)
-
-    def _dispatch(self, now: int) -> None:
-        if self.scheme == "sequential":
-            self._seq_try_start(now)
-        elif self.scheme == "pipeline":
-            if self.wave_inflight == 0:
-                self._pipe_boundary(now)
-        else:
-            self._ooo_kick(now)
+        self._dispatch(self, self.clock)
 
     # sequential -------------------------------------------------------
 
-    def _seq_try_start(self, now: int) -> None:
-        if self.seq_active is not None or not self.seq_queue:
+    def _sequential_dispatch(self, now: int) -> None:
+        if not self.ptt_order:
             return
-        head = self.seq_queue[0]
-        if head.ready_cycle > now:
-            self._schedule_kick(head.ready_cycle)
+        head = self.ptt_order[0]
+        if head.inflight:
             return
-        self.seq_queue.popleft()
-        self.seq_active = head
+        if head.next_idx == 0:
+            # a fresh head waits for its predecessor's whole tuple
+            if head.pid and self.wpq_entries[head.pid - 1].complete_cycle is None:
+                return
+            if head.ready_cycle > now:
+                self._schedule_kick(head.ready_cycle)
+                return
         self._issue_update(head, now)
 
     # pipeline ---------------------------------------------------------
 
-    def _pipe_boundary(self, now: int) -> None:
-        if self.wave_inflight > 0:
+    def _pipeline_dispatch(self, now: int) -> None:
+        if self.inflight_updates:
             return
-        self.wave_members = [m for m in self.wave_members if not m.persisted]
-        if self.pending_join:
-            head = self.pending_join[0]
-            if head.ready_cycle <= now:
-                self.pending_join.popleft()
-                self.wave_members.append(head)
-            else:
-                self._schedule_kick(head.ready_cycle)
-        if not self.wave_members:
-            return
-        for member in self.wave_members:
-            self._issue_update(member, now)
-            self.wave_inflight += 1
+        # the started persists are a prefix of ptt_order; the first
+        # unstarted one joins the wave once it is ready
+        wave = []
+        for entry in self.ptt_order:
+            if entry.next_idx == 0:
+                if entry.ready_cycle <= now:
+                    wave.append(entry)
+                else:
+                    self._schedule_kick(entry.ready_cycle)
+                break
+            wave.append(entry)
+        for entry in wave:
+            self._issue_update(entry, now)
 
     # out-of-order / coalescing ----------------------------------------
 
@@ -724,16 +682,14 @@ class Simulator:
         if not wpq.all_arrived() or wpq.root_done_cycle is None:
             return
         wpq.complete_cycle = now
-        self.completions[wpq.pid] = now
         self.stats["persists_completed"] += 1
         if self.is_ep:
             self.ett_by_epoch[wpq.epoch].incomplete -= 1
             self._epoch_maybe_complete(wpq.epoch, now)
         else:
             self._maybe_drain(wpq, now)
-        if self.scheme == "sequential" and self.seq_active is not None and self.seq_active.pid == wpq.pid:
-            self.seq_active = None
-            self._seq_try_start(now)
+        if self.scheme == "sequential":
+            self._dispatch(self, now)  # the next persist may start now
 
     def epoch_unlocked_now(self, epoch: int) -> bool:
         """True when every older epoch with members has fully completed."""
@@ -840,8 +796,8 @@ class Simulator:
         self._submit_store(store, epoch, self.clock)
         return self.stats["persists_submitted"] - 1
 
-    def completion_cycle(self, pid: int) -> int:
-        return self.completions[pid]
+    def completion_cycle(self, pid: int) -> Optional[int]:
+        return self.wpq_entries[pid].complete_cycle
 
     def outstanding_persists(self) -> list:
         return [e.pid for e in self.wpq_entries if e.complete_cycle is None]
@@ -856,7 +812,7 @@ class Simulator:
         return self.latency.cache_hit
 
     def last_completion_cycle(self) -> int:
-        return max(self.completions.values(), default=0)
+        return max((e.complete_cycle for e in self.wpq_entries if e.complete_cycle is not None), default=0)
 
     def stats_dict(self) -> dict:
         out = dict(self.stats)
@@ -871,3 +827,12 @@ class Simulator:
             "bmt": self.bmt_cache.stats.as_dict(),
         }
         return out
+
+
+# dispatch policy of each scheme, chosen once per Simulator
+_POLICIES = {
+    "sequential": Simulator._sequential_dispatch,
+    "pipeline": Simulator._pipeline_dispatch,
+    "ooo": Simulator._ooo_kick,
+    "coalesce": Simulator._ooo_kick,
+}

@@ -1,5 +1,5 @@
-"""Core data model: block addresses, split counters, memory tuples and the
-golden (oracle) plaintext memory.
+"""Core data model: block addresses, split counters and the golden
+(oracle) plaintext memory.
 
 Everything here is functional state shared by the rest of the simulator;
 no timing lives in this module.
@@ -7,7 +7,7 @@ no timing lives in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BLOCK_SIZE = 64
 PAGE_SIZE = 4096
@@ -83,36 +83,6 @@ class SplitCounter:
         return self.major.to_bytes(8, "little") + packed.to_bytes(56, "little")
 
 
-def bump_counter(ctr_block: SplitCounter, block_in_page: int) -> SplitCounter:
-    """Increment one block's minor counter, handling page-wide overflow."""
-    return ctr_block.bump(block_in_page)
-
-
-@dataclass
-class MemoryTuple:
-    """The full durable footprint of one persisted block.
-
-    A block is recoverable only when the ciphertext, its counter, its MAC
-    and the root effect are all durable; the engine tracks these as flags
-    on the write-pending-queue entry, this type is the assembled view.
-    """
-
-    addr: BlockAddr
-    ciphertext: bytes
-    counter: tuple
-    mac: int
-    root_done: bool = False
-
-    @property
-    def recoverable(self) -> bool:
-        return (
-            self.ciphertext is not None
-            and self.counter is not None
-            and self.mac is not None
-            and self.root_done
-        )
-
-
 @dataclass(frozen=True)
 class StoreRecord:
     persist_id: int
@@ -142,13 +112,6 @@ class GoldenMemory:
         self.log.append(StoreRecord(persist_id, addr, data, epoch))
         return persist_id
 
-    def state_after(self, n: int) -> dict:
-        """Plaintext state after replaying the first ``n`` log records."""
-        state: dict = {}
-        for rec in self.log[:n]:
-            state[rec.addr.value] = rec.plaintext
-        return state
-
     def state_at_epoch_end(self, epoch: int) -> dict:
         """Plaintext state after every store of epochs <= ``epoch``."""
         state: dict = {}
@@ -156,9 +119,6 @@ class GoldenMemory:
             if rec.epoch <= epoch:
                 state[rec.addr.value] = rec.plaintext
         return state
-
-    def addrs_in_epoch(self, epoch: int) -> set:
-        return {rec.addr.value for rec in self.log if rec.epoch == epoch}
 
     def __len__(self) -> int:
         return len(self.log)

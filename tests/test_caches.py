@@ -60,22 +60,6 @@ def test_stats_conserved():
     assert 0.0 <= s.hit_ratio <= 1.0
 
 
-def test_write_through_leaves_nothing_dirty():
-    c = small_cache()
-    for key in range(16):
-        c.access(key, write=True)
-    assert c.dirty_count() == 0
-    assert c.stats.writebacks == 0
-
-
-def test_write_back_mode_emits_writebacks():
-    c = small_cache(write_through=False)
-    c.access(0, write=True)
-    c.access(4, write=True)
-    c.access(8, write=True)  # evicts dirty 0
-    assert c.stats.writebacks == 1
-
-
 def test_ideal_cache_always_hits():
     c = small_cache(ideal=True)
     assert c.access(123) is True

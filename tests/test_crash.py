@@ -148,6 +148,20 @@ def test_recovery_ignores_volatile_state(rng):
     }
 
 
+@pytest.mark.parametrize("scheme", ["sequential", "coalesce"])
+def test_crash_leaves_the_run_unchanged(scheme):
+    text = trace_text(*[page_addr(i % 3, i) for i in range(9)])
+    sim = run_sim(scheme, text, ideal_caches=False)
+    page = sim.golden.log[0].addr.page
+    assert sim.counter_cache.contains(page)
+    before = sim.stats_dict()
+    for cycle in (0, sim.clock // 2, sim.clock):
+        crash(sim, CrashPlan("at-cycle", cycle=cycle))
+    crash(sim, CrashPlan("tuple-omission", persist_id=0, component="counter"))
+    assert sim.counter_cache.contains(page)
+    assert sim.stats_dict() == before
+
+
 def test_adversarial_root_reorder_detected():
     # a scheduler that persisted the younger tuple but not the older one:
     # recovered state matches no persist-order prefix

@@ -1,21 +1,20 @@
 import random
 
 from nvmsim import LatencyConfig, SCHEMES, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
-from nvmsim.engine import EngineConfig
 from nvmsim.trace import Store
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 
 
-def test_engine_config_validation():
+def test_sim_params_validation():
     import pytest
 
-    with pytest.raises(ValueError):
-        EngineConfig(scheme="warp")
-    with pytest.raises(ValueError):
-        EngineConfig(wpq_capacity=0)
-    cfg = SimParams(scheme="ooo").engine_config()
-    assert cfg.scheme == "ooo" and cfg.ett_capacity == 2
+    for bad in (dict(scheme="warp"), dict(wpq_capacity=0), dict(ptt_capacity=0),
+                dict(ett_capacity=0), dict(mac_units=-1)):
+        with pytest.raises(ValueError):
+            SimParams(**bad)
+    params = SimParams(scheme="ooo")
+    assert params.scheme == "ooo" and params.ett_capacity == 2
 
 
 def test_submit_persist_surface():
@@ -35,13 +34,6 @@ def test_pad_seeds_unique_over_run(rng):
     sim = run_sim("ooo", text)
     seeds = [(e.addr.value, e.counter) for e in sim.wpq_entries]
     assert len(seeds) == len(set(seeds))
-
-
-def test_no_dirty_metadata_after_completion():
-    # write-through persist flow never leaves dirty lines behind
-    sim = run_sim("sequential", trace_text(*[page_addr(i % 3, i) for i in range(9)]))
-    for cache in (sim.counter_cache, sim.mac_cache, sim.bmt_cache):
-        assert cache.dirty_count() == 0
 
 
 def test_sp_drain_order_respects_persist_order():

@@ -78,13 +78,22 @@ def test_watermark_matches_full_scan_at_every_event(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tracking_state_is_freed_after_persist(scheme):
-    text = trace_text(*[page_addr(i % 5, i % 17) for i in range(40)], "F", page_addr(1))
-    sim = Simulator(SimParams(scheme=scheme, levels=4, ideal_caches=True, ett_capacity=1), parse(text))
-    while not sim.ptt_order:
-        step(sim)
-    first = weakref.ref(sim.ptt_order[0])
-    run_until_idle(sim)
-    gc.collect()
-    assert first() is None
-    assert not sim.ett_by_epoch
-    assert not sim.ett_order
+    # with the cyclic collector off, everything below is freed by refcount
+    # alone: a reference cycle would keep each finished run alive until the
+    # next collection
+    gc.disable()
+    try:
+        text = trace_text(*[page_addr(i % 5, i % 17) for i in range(40)], "F", page_addr(1))
+        sim = Simulator(SimParams(scheme=scheme, levels=4, ideal_caches=True, ett_capacity=1), parse(text))
+        while not sim.ptt_order:
+            step(sim)
+        first = weakref.ref(sim.ptt_order[0])
+        run_until_idle(sim)
+        assert first() is None
+        assert not sim.ett_by_epoch
+        assert not sim.ett_order
+        finished = weakref.ref(sim)
+        del sim
+        assert finished() is None
+    finally:
+        gc.enable()

@@ -6,10 +6,8 @@ from nvmsim.model_core import (
     BLOCKS_PER_PAGE,
     BlockAddr,
     GoldenMemory,
-    MemoryTuple,
     MisalignedAddress,
     SplitCounter,
-    bump_counter,
 )
 
 
@@ -111,7 +109,6 @@ class TestGoldenMemory:
             pid = mem.apply_store(BlockAddr(i * 64), bytes([i]) * 64, epoch=i // 4)
             assert pid == i
         assert [r.persist_id for r in mem.log] == list(range(10))
-        assert mem.state_after(3) == {0: b"\x00" * 64, 64: b"\x01" * 64, 128: b"\x02" * 64}
 
     def test_epoch_state(self):
         mem = GoldenMemory()
@@ -119,11 +116,3 @@ class TestGoldenMemory:
         mem.apply_store(BlockAddr(0), b"\x02" * 64, epoch=1)
         assert mem.state_at_epoch_end(0)[0] == b"\x01" * 64
         assert mem.state_at_epoch_end(1)[0] == b"\x02" * 64
-        assert mem.addrs_in_epoch(1) == {0}
-
-
-def test_memory_tuple_recoverable_needs_all_four():
-    t = MemoryTuple(BlockAddr(0), b"\x00" * 64, (0, 1), 123, root_done=False)
-    assert not t.recoverable
-    t.root_done = True
-    assert t.recoverable
