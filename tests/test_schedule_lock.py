@@ -1,8 +1,10 @@
 """Behaviour lock of the four schedulers over a grid of small configurations.
 
 Every case runs 60 generated stores and is pinned by its last completion
-cycle, node-update count, root register, a digest of the update log and a
-digest of every persist's ``(complete_cycle, drained_cycle)``.  The grid
+cycle, node-update count, root register, a digest of the update log, a
+digest of every persist's ``(complete_cycle, drained_cycle)``, a digest of
+the epoch completion cycles and a digest of the recovery verdicts at three
+seeded crash cycles.  The grid
 covers what the benchmark's pins do not: capacities of 1, real 1 KB caches,
 one shared MAC unit, binary trees and traces with and without fences.
 Stall cycles are not pinned, so their accounting may change on its own.
@@ -14,11 +16,23 @@ Re-pin after an intended change of simulated behaviour with
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from nvmsim import SCHEMES, GenSpec, SimParams, Simulator, generate, run_until_idle
+from nvmsim import (
+    SCHEMES,
+    CrashPlan,
+    GenSpec,
+    SimParams,
+    Simulator,
+    check_prefix_consistency,
+    crash,
+    generate,
+    recover,
+    run_until_idle,
+)
 
 PINS = Path(__file__).parent / "data" / "schedule_pins.json"
 
@@ -42,6 +56,17 @@ def case_id(case) -> str:
 
 def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def crash_verdicts(sim) -> list:
+    rng = random.Random(11)
+    out = []
+    for _ in range(3):
+        cycle = rng.randrange(sim.clock + 1)
+        report = recover(crash(sim, CrashPlan("at-cycle", cycle=cycle)), sim.keys, sim.geometry)
+        result = check_prefix_consistency(report, sim.golden)
+        out.append([report.as_dict(), result.ok, result.matched])
+    return out
 
 
 def outcome(case) -> dict:
@@ -68,6 +93,8 @@ def outcome(case) -> dict:
         "root_register": f"{sim.bmt.root_register:016x}",
         "update_log": _digest(sim.update_log),
         "persists": _digest([(e.complete_cycle, e.drained_cycle) for e in sim.wpq_entries]),
+        "epoch_completion": _digest(sorted(sim.epoch_completion.items())),
+        "crashes": _digest(crash_verdicts(sim)),
     }
 
 
