@@ -54,7 +54,8 @@ class CacheStats:
 class MetadataCache:
     """One set-associative cache with LRU order per set.
 
-    ``ideal`` turns every access into a hit (used to reproduce closed-form
+    ``ideal`` turns every access into a hit and holds no lines, so
+    ``contains()`` is False for every key (used to reproduce closed-form
     timing where fill latency must not disturb the arithmetic).
     """
 
@@ -72,22 +73,21 @@ class MetadataCache:
         """Look up one block; returns True on hit.
 
         On a miss the line is filled immediately (the caller charges the
-        fill latency) and the LRU victim of the set is evicted.  An ideal
-        cache hits even on a block it does not hold, and fills it.
+        fill latency) and the LRU victim of the set is evicted.
         """
         self.stats.accesses += 1
-        lines = self._set_for(key)
-        if key in lines:
+        if not self.ideal:
+            lines = self._set_for(key)
+            if key not in lines:
+                self.stats.misses += 1
+                if len(lines) >= self.config.associativity:
+                    lines.pop(0)
+                    self.stats.evictions += 1
+                lines.append(key)
+                return False
             lines.remove(key)
-        elif not self.ideal:
-            self.stats.misses += 1
-            if len(lines) >= self.config.associativity:
-                lines.pop(0)
-                self.stats.evictions += 1
             lines.append(key)
-            return False
         self.stats.hits += 1
-        lines.append(key)
         return True
 
     def contains(self, key: int) -> bool:

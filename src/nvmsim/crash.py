@@ -153,9 +153,9 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     The run is only read, never changed.  Volatile state (metadata caches,
     tracking tables) is left out of the snapshot; under strict persistency
     an entry survives only if its whole tuple completed by the cut, under
-    epoch persistency individual components survive once arrived and their
-    epoch is unlocked.  In tuple-omission mode the named component of the
-    named persist is deleted after the cut.
+    epoch persistency once its tuple arrived and its epoch is unlocked.  In
+    tuple-omission mode the named component of the named persist is
+    deleted after the cut.
     """
     cut = _resolve_cut(sim, plan)
     omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else None
@@ -168,37 +168,30 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     touched: set = set()
     incomplete_epochs: set = set()
 
-    def component_durable(entry, comp: str) -> bool:
-        if omitted is not None and entry.pid == omitted[0] and comp == omitted[1]:
-            return False
-        if is_ep:
-            arrival = entry.arrivals.get(comp)
-            if arrival is None or arrival > cut:
-                return False
-            unlock = sim.unlock_cycle(entry.epoch)
-            return unlock is not None and unlock <= cut
-        return entry.complete_cycle is not None and entry.complete_cycle <= cut
-
     for entry in sim.wpq_entries:
-        addr = entry.addr.value
-        durable_any = False
-        if component_durable(entry, "ciphertext"):
-            data[addr] = entry.ciphertext
-            touched.add(addr)
-            expected_plain[addr] = sim.golden.log[entry.pid].plaintext
-            durable_any = True
-        if component_durable(entry, "counter"):
-            counters[entry.addr.page] = entry.counter_block
-            durable_any = True
-        if component_durable(entry, "mac"):
-            macs[addr] = entry.mac
-            touched.add(addr)
-            expected_plain[addr] = sim.golden.log[entry.pid].plaintext
-            durable_any = True
-        if is_ep and durable_any:
+        # the three components arrive together, so they are durable together
+        if is_ep:
+            if entry.arrival_cycle is None or entry.arrival_cycle > cut:
+                continue
+            unlock = sim.unlock_cycle(entry.epoch)
+            if unlock is None or unlock > cut:
+                continue
             done = sim.epoch_completion.get(entry.epoch)
             if done is None or done > cut:
                 incomplete_epochs.add(entry.epoch)
+        elif entry.complete_cycle is None or entry.complete_cycle > cut:
+            continue
+        skip = omitted[1] if omitted is not None and entry.pid == omitted[0] else None
+        addr = entry.addr.value
+        # at most one component is omitted, so ciphertext or MAC is durable
+        touched.add(addr)
+        expected_plain[addr] = sim.golden.log[entry.pid].plaintext
+        if skip != "ciphertext":
+            data[addr] = entry.ciphertext
+        if skip != "counter":
+            counters[entry.addr.page] = entry.counter_block
+        if skip != "mac":
+            macs[addr] = entry.mac
 
     root_register = sim.bmt.default_value(1)
     for cycle, pid, value in sim.root_history:

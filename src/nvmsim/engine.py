@@ -31,11 +31,12 @@ completion.  That matches a hardware dataflow pipeline and is what keeps
 strict-persistency roots exactly equal to persist-order prefixes even
 while younger persists overwrite shared state underneath.
 
-Under epoch persistency, epochs complete strictly in order, at cycles that
-never decrease: an epoch completes only once every older epoch with
-members has.  So the completed epochs are always a prefix of the epochs
-with members, and one index to the oldest open epoch (the watermark)
-answers every "are the older epochs done" question in O(1).
+Under epoch persistency one table, ``epochs``, holds an ``EttEntry`` per
+epoch with members, oldest first; an epoch's stores are consecutive
+persists, so its members are ``range(first_pid, end_pid)``.  Epochs
+complete strictly in order, at cycles that never decrease, so the watermark
+``open_idx`` splits the table: ``epochs[:open_idx]`` have completed and
+``epochs[open_idx:]`` is the live epoch tracking table (ETT).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
@@ -65,6 +68,8 @@ SCHEMES = ("sequential", "pipeline", "ooo", "coalesce")
 EPOCH_SCHEMES = ("ooo", "coalesce")
 
 COMPONENTS = ("ciphertext", "counter", "mac")
+
+_EPOCH = attrgetter("epoch")  # bisect key over Simulator.epochs
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,8 @@ class SimParams:
 
 
 class WpqEntry:
-    """One write-pending-queue slot: the gathering point of a memory tuple."""
+    """One write-pending-queue slot: the gathering point of a memory tuple.
+    Its three components are ready at one cycle and arrive together."""
 
     __slots__ = (
         "pid",
@@ -114,7 +120,7 @@ class WpqEntry:
         "counter_block",
         "counter",
         "mac",
-        "arrivals",
+        "arrival_cycle",
         "root_done_cycle",
         "complete_cycle",
         "drained_cycle",
@@ -130,7 +136,7 @@ class WpqEntry:
         self.counter_block = counter_block  # SplitCounter snapshot carried by this persist
         self.counter = counter
         self.mac = mac
-        self.arrivals = {}  # component -> arrival cycle
+        self.arrival_cycle = None
         self.root_done_cycle = None
         self.complete_cycle = None
         self.drained_cycle = None
@@ -144,8 +150,13 @@ class WpqEntry:
             return "complete"
         return "locked-incomplete"
 
+    @property
+    def arrivals(self) -> dict:
+        """Arrival cycle of each component (read-only view)."""
+        return {} if self.arrival_cycle is None else dict.fromkeys(COMPONENTS, self.arrival_cycle)
+
     def all_arrived(self) -> bool:
-        return len(self.arrivals) == len(COMPONENTS)
+        return self.arrival_cycle is not None
 
 
 class PttEntry:
@@ -158,6 +169,7 @@ class PttEntry:
         "path",
         "levels",
         "wpq",
+        "ett",
         "ready_cycle",
         "next_idx",
         "inflight",
@@ -170,13 +182,14 @@ class PttEntry:
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, leaf, path, levels, wpq, ready_cycle):
+    def __init__(self, pid, epoch, leaf, path, levels, wpq, ett, ready_cycle):
         self.pid = pid
         self.epoch = epoch
         self.leaf = leaf
         self.path = path
         self.levels = levels
         self.wpq = wpq
+        self.ett = ett  # this persist's epoch entry; None under strict persistency
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
@@ -205,14 +218,17 @@ class PttEntry:
 
 
 class EttEntry:
-    """Epoch tracking table entry: order and level occupancy of one live epoch."""
+    """One epoch with members: its persists ``range(first_pid, end_pid)``
+    and, while it is live, its tree-level occupancy."""
 
-    __slots__ = ("epoch", "incomplete", "level_counts")
+    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "level_counts")
 
-    def __init__(self, epoch, levels):
+    def __init__(self, epoch, first_pid, levels):
         self.epoch = epoch
+        self.first_pid = first_pid
+        self.end_pid = first_pid
         self.incomplete = 0  # members whose tuple has not completed yet
-        self.level_counts = [0] * (levels + 1)
+        self.level_counts = [0] * (levels + 1)  # dropped when the epoch retires
 
     def max_occupied_level(self) -> Optional[int]:
         for level in range(len(self.level_counts) - 1, 0, -1):
@@ -258,12 +274,9 @@ class Simulator:
         self.wpq_entries: list = []  # by pid
         self.wpq_occupancy = 0
         self.ptt_order: deque = deque()
-        self.ett_order: deque = deque()
-        self.ett_by_epoch: dict = {}  # live epochs only; an entry is dropped when it retires
-        self.epoch_members: dict = {}
-        self.epoch_completion: dict = {}
-        self.member_epochs: list = []  # epochs with members, ascending
-        self.open_idx = 0  # member_epochs[:open_idx] have completed
+        self.epochs: list = []  # EttEntry per epoch with members, oldest first
+        self.open_idx = 0  # epochs[:open_idx] have completed; epochs[open_idx:] is the live ETT
+        self.epoch_completion: dict = {}  # epoch -> completion cycle
 
         self.root_history: list = []  # (cycle, pid, value)
         self.update_log: list = []  # (start, end, pid, epoch, label, level)
@@ -279,7 +292,7 @@ class Simulator:
         self._issues_this_cycle = 0
         self.last_submitted: Optional[PttEntry] = None
 
-        self.drain_eligible: list = []  # pids, kept sorted (drain in persist order)
+        self.drain_eligible: list = []  # heap of pids (drain in persist order)
         self.next_drain_free = 0
         self.drain_scheduled = False
 
@@ -321,7 +334,8 @@ class Simulator:
             causes.append("wpq_full")
         if len(self.ptt_order) >= self.params.ptt_capacity:
             causes.append("ptt_full")
-        if self.is_ep and epoch not in self.ett_by_epoch and len(self.ett_order) >= self.params.ett_capacity:
+        if (self.is_ep and len(self.epochs) - self.open_idx >= self.params.ett_capacity
+                and self.epochs[-1].epoch != epoch):
             causes.append("ett_full")
         if causes:
             if self._stall_start is None:
@@ -343,18 +357,16 @@ class Simulator:
         if not self.trace_done:
             self.trace_done = True
             # final epoch's membership is closed; it may already be complete
-            while self.open_idx < len(self.member_epochs):
-                epoch = self.member_epochs[self.open_idx]
-                self._epoch_maybe_complete(epoch, now)
-                if epoch not in self.epoch_completion:
+            for ett in self.epochs[self.open_idx:]:
+                if not self._epoch_maybe_complete(ett, now):
                     break
 
     def epoch_boundary(self, now: int) -> None:
         """Persist fence: subsequent stores belong to the next epoch."""
         closed = self.current_epoch
         self.current_epoch += 1
-        if closed in self.epoch_members:
-            self._epoch_maybe_complete(closed, now)
+        if self.epochs and self.epochs[-1].epoch == closed:
+            self._epoch_maybe_complete(self.epochs[-1], now)
 
     def _submit_store(self, store: Store, epoch: int, now: int) -> None:
         addr = store.addr
@@ -389,27 +401,21 @@ class Simulator:
         self.page_ready[page] = ready
         self.mac_cache.access((addr.value // BLOCK_SIZE) // 8)
 
-        for comp in COMPONENTS:
-            self.events.push(
-                ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, (pid, comp)
-            )
+        self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
+
+        levels = self.geometry.levels
+        ett = None
+        if self.is_ep:
+            if not self.epochs or self.epochs[-1].epoch != epoch:
+                self.epochs.append(EttEntry(epoch, pid, levels))
+            ett = self.epochs[-1]
+            ett.end_pid = pid + 1
+            ett.incomplete += 1
+            ett.level_counts[levels] += 1
 
         leaf = self.geometry.leaf_for_page(page)
-        entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf),
-                         self.geometry.levels, wpq, ready)
+        entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), levels, wpq, ett, ready)
         self.ptt_order.append(entry)
-
-        if self.is_ep:
-            ett = self.ett_by_epoch.get(epoch)
-            if ett is None:
-                ett = EttEntry(epoch, self.geometry.levels)
-                self.ett_by_epoch[epoch] = ett
-                self.ett_order.append(ett)
-                self.epoch_members[epoch] = []
-                self.member_epochs.append(epoch)
-            ett.incomplete += 1
-            ett.level_counts[self.geometry.levels] += 1
-            self.epoch_members[epoch].append(pid)
 
         if self.scheme == "coalesce":
             self.coalesce_pair(entry, self.last_submitted)
@@ -470,9 +476,8 @@ class Simulator:
             pending_after = prev.pending_level
             old_pending = levels - prev.next_idx
             if pending_after is None and prev.next_idx <= levels - 1:
-                ett = self.ett_by_epoch[prev.epoch]
-                if ett.level_counts[old_pending] > 0:
-                    ett.level_counts[old_pending] -= 1
+                if prev.ett.level_counts[old_pending] > 0:
+                    prev.ett.level_counts[old_pending] -= 1
 
         self.stats["coalesce_pairs"] += 1
         return lca_label
@@ -533,11 +538,11 @@ class Simulator:
             entry.completed_below += 1
 
         if self.is_ep:
-            ett = self.ett_by_epoch[entry.epoch]
-            ett.level_counts[level] -= 1
+            counts = entry.ett.level_counts
+            counts[level] -= 1
             pending = entry.pending_level
             if pending is not None:
-                ett.level_counts[pending] += 1
+                counts[pending] += 1
 
         if label == 0:
             self.stats["root_updates"] += 1
@@ -627,7 +632,7 @@ class Simulator:
     # out-of-order / coalescing ----------------------------------------
 
     def _epoch_authorized(self, entry: PttEntry, level: int) -> bool:
-        for ett in self.ett_order:
+        for ett in self.epochs[self.open_idx:]:
             if ett.epoch >= entry.epoch:
                 break
             occupied = ett.max_occupied_level()
@@ -668,12 +673,11 @@ class Simulator:
     # WPQ lifecycle
     # ------------------------------------------------------------------
 
-    def _ev_arrival(self, payload) -> None:
-        pid, comp = payload
+    def _ev_arrival(self, pid) -> None:
         wpq = self.wpq_entries[pid]
-        wpq.arrivals[comp] = self.clock
+        wpq.arrival_cycle = self.clock
         self._check_complete(wpq, self.clock)
-        if self.is_ep and wpq.all_arrived():
+        if self.is_ep:
             self._maybe_drain(wpq, self.clock)
 
     def _check_complete(self, wpq: WpqEntry, now: int) -> None:
@@ -684,50 +688,49 @@ class Simulator:
         wpq.complete_cycle = now
         self.stats["persists_completed"] += 1
         if self.is_ep:
-            self.ett_by_epoch[wpq.epoch].incomplete -= 1
-            self._epoch_maybe_complete(wpq.epoch, now)
+            # an epoch with an incomplete member is live
+            ett = self.epochs[bisect_left(self.epochs, wpq.epoch, self.open_idx, key=_EPOCH)]
+            ett.incomplete -= 1
+            self._epoch_maybe_complete(ett, now)
         else:
             self._maybe_drain(wpq, now)
         if self.scheme == "sequential":
             self._dispatch(self, now)  # the next persist may start now
 
-    def epoch_unlocked_now(self, epoch: int) -> bool:
-        """True when every older epoch with members has fully completed."""
-        return bisect_left(self.member_epochs, epoch) <= self.open_idx
-
-    def _epoch_maybe_complete(self, epoch: int, now: int) -> None:
+    def _epoch_maybe_complete(self, ett: EttEntry, now: int) -> bool:
+        """Complete ``ett``'s epoch if it can; True when it did."""
         # epochs complete strictly in order, so only the oldest open epoch
         # can; a younger epoch whose tuples all arrived early still waits
         # for every older boundary
-        if self.open_idx >= len(self.member_epochs) or self.member_epochs[self.open_idx] != epoch:
-            return
-        membership_final = epoch < self.current_epoch or self.trace_done
-        if not membership_final or self.ett_by_epoch[epoch].incomplete:
-            return
-        self.epoch_completion[epoch] = now
+        if self.open_idx >= len(self.epochs) or self.epochs[self.open_idx] is not ett:
+            return False
+        membership_final = ett.epoch < self.current_epoch or self.trace_done
+        if not membership_final or ett.incomplete:
+            return False
+        self.epoch_completion[ett.epoch] = now
         self.open_idx += 1
-        # the completing epoch is the oldest live one, so it heads the ETT
-        self.ett_order.popleft()
-        del self.ett_by_epoch[epoch]
+        ett.level_counts = None
         self._wake_submit(now)
-        for pid in self.epoch_members[epoch]:
+        for pid in range(ett.first_pid, ett.end_pid):
             self._maybe_drain(self.wpq_entries[pid], now)
         # successor epoch's entries unlock strictly after this boundary
         self._schedule_kick(now + 1)
         self.events.push(now + 1, KICK, self._ev_unlock_sweep)
+        return True
 
     def _ev_unlock_sweep(self, _payload) -> None:
-        if self.open_idx >= len(self.member_epochs):
+        if self.open_idx >= len(self.epochs):
             return
-        now = self.clock
-        epoch = self.member_epochs[self.open_idx]
+        ett = self.epochs[self.open_idx]
         # the successor may have been waiting only on the boundary order
-        self._epoch_maybe_complete(epoch, now)
-        if epoch not in self.epoch_completion:
-            for pid in self.epoch_members[epoch]:
-                wpq = self.wpq_entries[pid]
-                if wpq.all_arrived():
-                    self._maybe_drain(wpq, now)
+        if not self._epoch_maybe_complete(ett, self.clock):
+            for pid in range(ett.first_pid, ett.end_pid):
+                self._maybe_drain(self.wpq_entries[pid], self.clock)
+
+    @property
+    def epoch_members(self) -> dict:
+        """Persist ids of every epoch with members (read-only view)."""
+        return {ett.epoch: range(ett.first_pid, ett.end_pid) for ett in self.epochs}
 
     def unlock_cycle(self, epoch: int) -> Optional[int]:
         """Cycle from which this epoch's WPQ entries stop being invalidatable.
@@ -737,10 +740,10 @@ class Simulator:
         Because epochs complete in order at non-decreasing cycles, that is
         the completion cycle of the nearest older epoch with members, plus 1.
         """
-        idx = bisect_left(self.member_epochs, epoch)
+        idx = bisect_left(self.epochs, epoch, key=_EPOCH)
         if idx == 0:
             return 0
-        done = self.epoch_completion.get(self.member_epochs[idx - 1])
+        done = self.epoch_completion.get(self.epochs[idx - 1].epoch)
         return None if done is None else done + 1
 
     # drains -------------------------------------------------------------
@@ -758,8 +761,7 @@ class Simulator:
             if wpq.complete_cycle is None:
                 return
         wpq.drain_queued = True
-        self.drain_eligible.append(wpq.pid)
-        self.drain_eligible.sort()
+        heappush(self.drain_eligible, wpq.pid)
         self._schedule_drain(now)
 
     def _schedule_drain(self, now: int) -> None:
@@ -773,7 +775,7 @@ class Simulator:
         self.drain_scheduled = False
         if not self.drain_eligible:
             return
-        pid = self.drain_eligible.pop(0)
+        pid = heappop(self.drain_eligible)
         wpq = self.wpq_entries[pid]
         wpq.drained_cycle = now
         self.wpq_occupancy -= 1

@@ -24,7 +24,7 @@ KICK = 5
 KIND_NAMES = {
     FILL_DONE: "fill-done",
     MAC_DONE: "mac-done",
-    ARRIVAL: "tuple-component-arrived",
+    ARRIVAL: "tuple-arrived",
     DRAIN: "drain",
     SUBMIT: "submit",
     KICK: "kick",

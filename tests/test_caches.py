@@ -65,3 +65,11 @@ def test_ideal_cache_always_hits():
     assert c.access(123) is True
     assert c.stats.hits == 1
     assert c.stats.misses == 0
+
+
+def test_ideal_cache_holds_no_lines():
+    c = small_cache(ideal=True)
+    keys = range(10_000)
+    assert all(c.access(key) for key in keys)
+    assert c.stats.hits == c.stats.accesses == 10_000
+    assert not any(c.contains(key) for key in keys)

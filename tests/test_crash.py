@@ -138,7 +138,7 @@ def test_recovery_ignores_volatile_state(rng):
     sim.bmt_cache.flush_volatile()
     sim.mac_cache.flush_volatile()
     sim.ptt_order.clear()
-    sim.ett_order.clear()
+    del sim.epochs[sim.open_idx:]
     sim.bmt.values.clear()
     report_b = recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry)
     assert report_a.plaintexts == report_b.plaintexts

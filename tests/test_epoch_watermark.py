@@ -1,9 +1,10 @@
 """The epoch watermark against full scans of every epoch, and bounded tracking state.
 
-``unlock_cycle`` and ``epoch_unlocked_now`` look at one epoch only,
-because epochs complete in order at cycles that never decrease.  The
-reference functions below scan every epoch seen so far and need no such
-invariant; the two must agree at every event of a run.
+``unlock_cycle`` looks at one epoch only, because epochs complete in order
+at cycles that never decrease.  The reference function below scans every
+epoch seen so far and needs no such invariant; the two must agree at every
+event of a run.  The epoch table itself is checked against the WPQ entries
+at every event too.
 """
 
 import gc
@@ -29,8 +30,22 @@ def reference_unlock_cycle(sim, epoch):
     return latest
 
 
-def reference_unlocked_now(sim, epoch):
-    return all(older in sim.epoch_completion for older in sim.epoch_members if older < epoch)
+def members_by_epoch(sim):
+    grouped = {}
+    for entry in sim.wpq_entries:
+        grouped.setdefault(entry.epoch, []).append(entry.pid)
+    return grouped
+
+
+def check_epoch_table(sim):
+    grouped = members_by_epoch(sim)
+    assert {epoch: list(pids) for epoch, pids in sim.epoch_members.items()} == grouped
+    live = sim.epochs[sim.open_idx:]
+    assert [e.epoch for e in live] == [e for e in grouped if e not in sim.epoch_completion]
+    for ett in live:
+        assert ett.incomplete == sum(
+            sim.wpq_entries[pid].complete_cycle is None for pid in grouped[ett.epoch]
+        )
 
 
 def ep_trace(rng, fence_every):
@@ -68,7 +83,7 @@ def test_watermark_matches_full_scan_at_every_event(scheme):
             step(sim)
             for entry in sim.wpq_entries:
                 assert sim.unlock_cycle(entry.epoch) == reference_unlock_cycle(sim, entry.epoch)
-                assert sim.epoch_unlocked_now(entry.epoch) == reference_unlocked_now(sim, entry.epoch)
+            check_epoch_table(sim)
         assert not sim.outstanding_persists()
         # the invariant the watermark rests on
         assert list(sim.epoch_completion) == list(sim.epoch_members)
@@ -90,8 +105,7 @@ def test_tracking_state_is_freed_after_persist(scheme):
         first = weakref.ref(sim.ptt_order[0])
         run_until_idle(sim)
         assert first() is None
-        assert not sim.ett_by_epoch
-        assert not sim.ett_order
+        assert sim.open_idx == len(sim.epochs)
         finished = weakref.ref(sim)
         del sim
         assert finished() is None
