@@ -89,6 +89,14 @@ class BmtGeometry:
             path.append(node)
         return path
 
+    def path_node(self, page: int, level: int) -> int:
+        """Label at ``level`` on the update path of ``page``'s leaf, without
+        walking the path: the node's index within its level is the page
+        number divided by the leaves under each node of that level."""
+        if not 1 <= level <= self.levels:
+            raise ValueError(f"level out of range: {level}")
+        return self._level_starts[level - 1] + page // self.arity ** (self.levels - level)
+
     def lca(self, leaf_a: int, leaf_b: int) -> int:
         """Deepest common node of the two leaves' update paths."""
         path_a = self.update_path(leaf_a)

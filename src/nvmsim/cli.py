@@ -113,10 +113,21 @@ def build_report(config: RunConfig, sim: Simulator, baseline_cycles: Optional[in
             stats["last_completion_cycle"] / baseline_cycles, 6
         )
     if config.event_log:
-        report["event_log_digest"] = hashlib.sha256(
-            json.dumps(sim.update_log).encode()
-        ).hexdigest()[:16]
+        report["event_log_digest"] = event_log_digest(sim)
     return report
+
+
+def event_log_digest(sim: Simulator) -> str:
+    """sha256 of ``json.dumps(sim.update_log)``, hashed record by record
+    so the whole list of tuples is never built."""
+    digest = hashlib.sha256(b"[")
+    separator = b""
+    for record in sim.iter_update_log():
+        # the records hold ints only, which json writes in decimal
+        digest.update(separator + b"[%d, %d, %d, %d, %d, %d]" % record)
+        separator = b", "
+    digest.update(b"]")
+    return digest.hexdigest()[:16]
 
 
 def run_simulation(config: RunConfig):

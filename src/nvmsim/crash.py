@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bmt import BmtGeometry, rebuild_from_counters
-from .crypto import KeySet, decrypt, verify_mac
+from .crypto import KeySet, open_block
 from .model_core import BLOCK_SIZE, GoldenMemory, PAGE_SIZE
 
 CRASH_MODES = ("at-cycle", "after-persist", "epoch-boundary", "tuple-omission")
@@ -168,17 +168,23 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     touched: set = set()
     incomplete_epochs: set = set()
 
+    # Persists come in epoch order, so each epoch is decided once, from the
+    # run's record alone: the oldest epoch with members is unlocked from the
+    # start, every later one a cycle after its predecessor completed.
+    epoch, done = None, None
+    unlocked = in_flight = False
     for entry in sim.wpq_entries:
         # the three components arrive together, so they are durable together
         if is_ep:
-            if entry.arrival_cycle is None or entry.arrival_cycle > cut:
+            if entry.epoch != epoch:
+                unlocked = epoch is None or (done is not None and done + 1 <= cut)
+                epoch = entry.epoch
+                done = sim.epoch_completion.get(epoch)
+                in_flight = done is None or done > cut
+            if not unlocked or entry.arrival_cycle is None or entry.arrival_cycle > cut:
                 continue
-            unlock = sim.unlock_cycle(entry.epoch)
-            if unlock is None or unlock > cut:
-                continue
-            done = sim.epoch_completion.get(entry.epoch)
-            if done is None or done > cut:
-                incomplete_epochs.add(entry.epoch)
+            if in_flight:
+                incomplete_epochs.add(epoch)
         elif entry.complete_cycle is None or entry.complete_cycle > cut:
             continue
         skip = omitted[1] if omitted is not None and entry.pid == omitted[0] else None
@@ -261,9 +267,9 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
         block_in_page = (addr // BLOCK_SIZE) % (PAGE_SIZE // BLOCK_SIZE)
         ctr_block = snapshot.counters.get(page)
         counter = ctr_block.effective(block_in_page) if ctr_block else (0, 0)
+        plain, tag = open_block(ciphertext, addr, counter, keys)
         stored_mac = snapshot.macs.get(addr)
-        mac_ok = stored_mac is not None and verify_mac(stored_mac, ciphertext, addr, counter, keys)
-        plain = decrypt(ciphertext, addr, counter, keys)
+        mac_ok = stored_mac is not None and stored_mac == tag
         expected = snapshot.expected_plain.get(addr)
         verdict = BlockVerdict(
             wrong_plaintext=expected is not None and plain != expected,

@@ -9,12 +9,16 @@ the clock model; nothing here costs simulated cycles.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from .model_core import BLOCK_SIZE, BlockAddr
 
 TAG_BITS = 64
 TAG_BYTES = TAG_BITS // 8
+
+# PRF seed: 8-byte address, 8-byte major counter, 2-byte minor counter
+_SEED = struct.Struct("<QQH")
 
 
 @dataclass(frozen=True)
@@ -36,24 +40,33 @@ class KeySet:
 
 def _seed_bytes(addr, counter) -> bytes:
     value = addr.value if isinstance(addr, BlockAddr) else int(addr)
-    major, minor = counter
-    return value.to_bytes(8, "little") + major.to_bytes(8, "little") + minor.to_bytes(2, "little")
+    return _SEED.pack(value, *counter)
+
+
+def _seed_pad(seed: bytes, keys: KeySet) -> bytes:
+    # one-time pad: PRF(key, addr || counter); spatial uniqueness from the
+    # address, temporal uniqueness from the counter
+    return hashlib.blake2b(seed, key=keys.enc, digest_size=BLOCK_SIZE).digest()
 
 
 def _pad(keys: KeySet, addr, counter) -> bytes:
-    # one-time pad: PRF(key, addr || counter); spatial uniqueness from the
-    # address, temporal uniqueness from the counter
-    return hashlib.blake2b(
-        _seed_bytes(addr, counter), key=keys.enc, digest_size=BLOCK_SIZE
-    ).digest()
+    return _seed_pad(_seed_bytes(addr, counter), keys)
+
+
+def _xor(block: bytes, pad: bytes) -> bytes:
+    mixed = int.from_bytes(block, "little") ^ int.from_bytes(pad, "little")
+    return mixed.to_bytes(BLOCK_SIZE, "little")
+
+
+def _seed_tag(ciphertext: bytes, seed: bytes, keys: KeySet) -> int:
+    digest = hashlib.blake2b(b"mac" + seed + ciphertext, key=keys.mac, digest_size=TAG_BYTES).digest()
+    return int.from_bytes(digest, "little")
 
 
 def encrypt(plaintext: bytes, addr, counter, keys: KeySet) -> bytes:
     if len(plaintext) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes")
-    pad = _pad(keys, addr, counter)
-    mixed = int.from_bytes(plaintext, "little") ^ int.from_bytes(pad, "little")
-    return mixed.to_bytes(BLOCK_SIZE, "little")
+    return _xor(plaintext, _pad(keys, addr, counter))
 
 
 def decrypt(ciphertext: bytes, addr, counter, keys: KeySet) -> bytes:
@@ -63,14 +76,20 @@ def decrypt(ciphertext: bytes, addr, counter, keys: KeySet) -> bytes:
 
 def mac_tag(ciphertext: bytes, addr, counter, keys: KeySet) -> int:
     """Stateful MAC over (ciphertext, address, counter), truncated to 64 bits."""
-    digest = hashlib.blake2b(
-        b"mac" + _seed_bytes(addr, counter) + ciphertext, key=keys.mac, digest_size=TAG_BYTES
-    ).digest()
-    return int.from_bytes(digest, "little")
+    return _seed_tag(ciphertext, _seed_bytes(addr, counter), keys)
 
 
 def verify_mac(tag: int, ciphertext: bytes, addr, counter, keys: KeySet) -> bool:
     return tag == mac_tag(ciphertext, addr, counter, keys)
+
+
+def open_block(ciphertext: bytes, addr: int, counter, keys: KeySet) -> tuple:
+    """Decrypt one 64-byte block and compute the MAC tag it should carry,
+    both from one seed: returns ``(plaintext, tag)``."""
+    if len(ciphertext) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes")
+    seed = _SEED.pack(addr, *counter)
+    return _xor(ciphertext, _seed_pad(seed, keys)), _seed_tag(ciphertext, seed, keys)
 
 
 def hash_node(payload: bytes, keys: KeySet) -> int:

@@ -41,6 +41,7 @@ complete strictly in order, at cycles that never decrease, so the watermark
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
@@ -118,7 +119,6 @@ class WpqEntry:
         "submit_cycle",
         "ciphertext",
         "counter_block",
-        "counter",
         "mac",
         "arrival_cycle",
         "root_done_cycle",
@@ -127,14 +127,13 @@ class WpqEntry:
         "drain_queued",
     )
 
-    def __init__(self, pid, addr, epoch, submit_cycle, ciphertext, counter_block, counter, mac):
+    def __init__(self, pid, addr, epoch, submit_cycle, ciphertext, counter_block, mac):
         self.pid = pid
         self.addr = addr
         self.epoch = epoch
         self.submit_cycle = submit_cycle
         self.ciphertext = ciphertext
         self.counter_block = counter_block  # SplitCounter snapshot carried by this persist
-        self.counter = counter
         self.mac = mac
         self.arrival_cycle = None
         self.root_done_cycle = None
@@ -149,6 +148,11 @@ class WpqEntry:
         if self.complete_cycle is not None:
             return "complete"
         return "locked-incomplete"
+
+    @property
+    def counter(self) -> tuple:
+        """This block's effective (major, minor) counter in the snapshot."""
+        return self.counter_block.effective(self.addr.block_in_page)
 
     @property
     def arrivals(self) -> dict:
@@ -279,7 +283,8 @@ class Simulator:
         self.epoch_completion: dict = {}  # epoch -> completion cycle
 
         self.root_history: list = []  # (cycle, pid, value)
-        self.update_log: list = []  # (start, end, pid, epoch, label, level)
+        self._updates = array("q")  # (start, end, pid, level) per node update
+        self._update_view = (0, ())  # (record count, update_log built from it)
 
         # scheduler state; the policy is a plain function, called as
         # self._dispatch(self, now), so no bound method refers back to self
@@ -384,7 +389,7 @@ class Simulator:
         ciphertext = encrypt(payload, addr, counter, self.keys)
         mac = mac_tag(ciphertext, addr, counter, self.keys)
 
-        wpq = WpqEntry(pid, addr, epoch, now, ciphertext, new_block, counter, mac)
+        wpq = WpqEntry(pid, addr, epoch, now, ciphertext, new_block, mac)
         self.wpq_entries.append(wpq)
         self.wpq_occupancy += 1
         self.stats["persists_submitted"] += 1
@@ -529,7 +534,7 @@ class Simulator:
         self.bmt.commit_node(label, value)
         self.stats["node_updates"] += 1
         if self.params.event_log:
-            self.update_log.append((start, now, entry.pid, entry.epoch, label, level))
+            self._updates.extend((start, now, entry.pid, level))
 
         entry.inflight = False
         self.inflight_updates -= 1
@@ -797,6 +802,36 @@ class Simulator:
         epoch = self.current_epoch
         self._submit_store(store, epoch, self.clock)
         return self.stats["persists_submitted"] - 1
+
+    def iter_update_log(self):
+        """Each node update as ``(start, end, pid, epoch, label, level)``,
+        in completion order.
+
+        The run keeps one 32-byte record ``(start, end, pid, level)`` per
+        update; the epoch comes from the persist log and the label is the
+        node at ``level`` on the persist's own update path, which is the
+        node it updated, under coalescing too (a trailing persist carries
+        the shared path above the merge point, which is its own path).
+        """
+        log = self.golden.log
+        node_at = self.geometry.path_node
+        fields = iter(self._updates)
+        for start, end, pid, level in zip(fields, fields, fields, fields):
+            rec = log[pid]
+            yield (start, end, pid, rec.epoch, node_at(rec.addr.page, level), level)
+
+    @property
+    def update_log(self) -> tuple:
+        """Every node update as ``(start, end, pid, epoch, label, level)``: a
+        read-only view over the run's 32-byte records (``iter_update_log``).
+
+        The tuple is built on first read and kept until the next record
+        arrives, because readers walk it several times; a run that nobody
+        inspects never builds it.
+        """
+        if self._update_view[0] != len(self._updates):
+            self._update_view = (len(self._updates), tuple(self.iter_update_log()))
+        return self._update_view[1]
 
     def completion_cycle(self, pid: int) -> Optional[int]:
         return self.wpq_entries[pid].complete_cycle

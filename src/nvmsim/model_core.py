@@ -13,6 +13,7 @@ BLOCK_SIZE = 64
 PAGE_SIZE = 4096
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 MINOR_MAX = 127  # 7-bit per-block minor counters
+_MINOR_BITS = 7
 
 
 class MisalignedAddress(ValueError):
@@ -43,7 +44,7 @@ class BlockAddr:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitCounter:
     """One counter block: a per-page major counter plus 64 per-block minors.
 
@@ -52,35 +53,49 @@ class SplitCounter:
     resets to zero.  The effective counter of a block is the
     (major, minor) pair, totally ordered as major * 128 + minor, and it
     never repeats for a given block across any bump sequence.
+
+    ``packed`` is the block layout itself: minor ``i`` sits in bits
+    ``7*i .. 7*i+6`` of one 448-bit int, exactly the 56 bytes that follow
+    the 8-byte major in ``to_block_bytes``.
     """
 
     major: int = 0
-    minors: tuple = tuple([0] * BLOCKS_PER_PAGE)
+    packed: int = 0
+
+    @classmethod
+    def from_minors(cls, major: int, minors) -> "SplitCounter":
+        """Counter block from 64 explicit minors, each within 0..MINOR_MAX."""
+        minors = tuple(minors)
+        if len(minors) != BLOCKS_PER_PAGE:
+            raise ValueError(f"need {BLOCKS_PER_PAGE} minors, got {len(minors)}")
+        packed = 0
+        for i, m in enumerate(minors):
+            if not 0 <= m <= MINOR_MAX:
+                raise ValueError(f"minor {i} out of range 0..{MINOR_MAX}: {m}")
+            packed |= m << (_MINOR_BITS * i)
+        return cls(major, packed)
+
+    @property
+    def minors(self) -> tuple:
+        return tuple((self.packed >> (_MINOR_BITS * i)) & MINOR_MAX for i in range(BLOCKS_PER_PAGE))
 
     def bump(self, block_in_page: int) -> "SplitCounter":
         if not 0 <= block_in_page < BLOCKS_PER_PAGE:
             raise IndexError(f"minor index out of range: {block_in_page}")
-        if self.minors[block_in_page] >= MINOR_MAX:
-            return SplitCounter(self.major + 1, tuple([0] * BLOCKS_PER_PAGE))
-        minors = list(self.minors)
-        minors[block_in_page] += 1
-        return SplitCounter(self.major, tuple(minors))
+        shift = _MINOR_BITS * block_in_page
+        if (self.packed >> shift) & MINOR_MAX == MINOR_MAX:
+            return SplitCounter(self.major + 1)
+        return SplitCounter(self.major, self.packed + (1 << shift))
 
     def effective(self, block_in_page: int) -> tuple:
         """(major, minor) freshness value for one block of the page."""
-        return (self.major, self.minors[block_in_page])
+        return (self.major, (self.packed >> (_MINOR_BITS * block_in_page)) & MINOR_MAX)
 
     def to_block_bytes(self) -> bytes:
-        """Pack into exactly one 64-byte metadata block.
-
-        8 bytes of major counter followed by 64 minors packed 7 bits each
-        (56 bytes): the layout that makes the whole page's counters fit a
-        single cache block.
-        """
-        packed = 0
-        for i, m in enumerate(self.minors):
-            packed |= (m & 0x7F) << (7 * i)
-        return self.major.to_bytes(8, "little") + packed.to_bytes(56, "little")
+        """Pack into exactly one 64-byte metadata block: 8 bytes of major
+        counter followed by the 56-byte packed minors, the layout that makes
+        the whole page's counters fit a single cache block."""
+        return self.major.to_bytes(8, "little") + self.packed.to_bytes(56, "little")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ class TestGeometry:
         assert G4.update_path(584)[-1] == 0
         assert len(G4.update_path(100)) == G4.levels
 
+    @pytest.mark.parametrize("arity,levels", [(2, 5), (3, 4), (8, 4)])
+    def test_path_node_matches_update_path(self, arity, levels):
+        geo = BmtGeometry(arity, levels)
+        for page in range(geo.leaf_count):
+            path = geo.update_path(geo.leaf_for_page(page))
+            assert [geo.path_node(page, level) for level in range(levels, 0, -1)] == path
+        with pytest.raises(ValueError):
+            geo.path_node(0, 0)
+
     def test_update_path_rejects_non_leaf(self):
         with pytest.raises(ValueError):
             G4.update_path(9)

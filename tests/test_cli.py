@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
+import random
 
 import pytest
 
-from nvmsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from nvmsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, event_log_digest, main
+from nvmsim.engine import SCHEMES
 
-from conftest import page_addr, trace_text
+from conftest import page_addr, random_trace_text, run_sim, trace_text
 
 BASE = ["--levels", "4", "--ideal-caches", "--gen-stores", "12", "--gen-pages", "4"]
 
@@ -200,6 +203,16 @@ def test_deep_tree_runs(capsys):
     code, out, _ = run_cli(capsys, "run", "--levels", "1100", "--ideal-caches", "--gen-stores", "1")
     assert code == EXIT_OK
     assert json.loads(out)["stats"]["node_updates"] == 1100
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("stores", [0, 30])
+def test_streamed_event_log_digest_matches_json(scheme, stores):
+    text = random_trace_text(random.Random(stores), stores, 5, fence_every=4) if stores else ""
+    sim = run_sim(scheme, text, levels=5)
+    assert len(sim.update_log) >= stores
+    want = hashlib.sha256(json.dumps(sim.update_log).encode()).hexdigest()[:16]
+    assert event_log_digest(sim) == want
 
 
 def test_trace_page_beyond_capacity_is_usage_error(tmp_path, capsys):

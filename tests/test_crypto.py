@@ -9,6 +9,7 @@ from nvmsim.crypto import (
     encrypt,
     hash_node,
     mac_tag,
+    open_block,
     payload_block,
     verify_mac,
 )
@@ -116,3 +117,15 @@ def test_encrypt_matches_per_byte_xor():
         counter = (rng.randrange(1 << 20), rng.randrange(1 << 7))
         reference = bytes(p ^ q for p, q in zip(plain, _pad(KEYS, addr, counter)))
         assert encrypt(plain, addr, counter, KEYS) == reference
+
+
+def test_open_block_matches_decrypt_and_mac_tag():
+    rng = random.Random(12)
+    for _ in range(500):
+        ct = rng.randbytes(64)
+        addr = rng.randrange(1 << 40) * 64
+        counter = (rng.randrange(1 << 20), rng.randrange(1 << 7))
+        assert open_block(ct, addr, counter, KEYS) == (
+            decrypt(ct, addr, counter, KEYS),
+            mac_tag(ct, addr, counter, KEYS),
+        )

@@ -97,3 +97,29 @@ def test_stress_fuzz_all_schemes_terminate_and_agree():
             run_until_idle(again)
             assert again.update_log == sim.update_log
         assert len(roots) == 1, trial
+
+
+def test_deep_tree_update_log_follows_the_update_path():
+    # labels near 8**1099 do not fit a machine word; the log view rebuilds them
+    sim = run_sim("sequential", trace_text(page_addr(12345, 3)), levels=1100)
+    leaf = sim.geometry.leaf_for_page(12345)
+    log = sim.update_log
+    assert len(log) == 1100
+    assert [label for *_, label, _level in log] == sim.geometry.update_path(leaf)
+    assert [level for *_, level in log] == list(range(1100, 0, -1))
+    assert log[-1][4] == 0 and log[0][4] > 8 ** 1098
+    assert {(pid, epoch) for _s, _e, pid, epoch, _l, _lv in log} == {(0, 0)}
+
+
+def test_update_log_view_follows_a_run_in_flight(rng):
+    text = random_trace_text(rng, 20, 4, fence_every=3)
+    whole = run_sim("coalesce", text)
+    sim = Simulator(SimParams(scheme="coalesce", levels=4, ideal_caches=True), parse(text))
+    seen = []
+    while sim.events:
+        cycle, _kind, _seq, handler, payload = sim.events.pop()
+        sim.clock = cycle
+        handler(payload)
+        seen.append(len(sim.update_log))
+    assert 0 < seen[len(seen) // 2] < seen[-1]
+    assert sim.update_log == whole.update_log

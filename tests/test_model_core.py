@@ -1,3 +1,6 @@
+import random
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +35,30 @@ class TestBlockAddr:
         assert addr.page * BLOCKS_PER_PAGE + addr.block_in_page == block_index
 
 
+@dataclass(frozen=True)
+class TupleSplitCounter:
+    """Reference split counter that keeps its minors as a 64-int tuple."""
+
+    major: int = 0
+    minors: tuple = tuple([0] * 64)
+
+    def bump(self, block_in_page):
+        if self.minors[block_in_page] >= 127:
+            return TupleSplitCounter(self.major + 1, tuple([0] * 64))
+        minors = list(self.minors)
+        minors[block_in_page] += 1
+        return TupleSplitCounter(self.major, tuple(minors))
+
+    def effective(self, block_in_page):
+        return (self.major, self.minors[block_in_page])
+
+    def to_block_bytes(self):
+        packed = 0
+        for i, m in enumerate(self.minors):
+            packed |= (m & 0x7F) << (7 * i)
+        return self.major.to_bytes(8, "little") + packed.to_bytes(56, "little")
+
+
 class TestSplitCounter:
     def test_simple_bump(self):
         ctr = SplitCounter()
@@ -42,7 +69,7 @@ class TestSplitCounter:
     def test_overflow_resets_page(self):
         minors = [0] * 64
         minors[3] = 127
-        ctr = SplitCounter(major=0, minors=tuple(minors))
+        ctr = SplitCounter.from_minors(0, minors)
         ctr = ctr.bump(3)
         assert ctr.major == 1
         assert all(m == 0 for m in ctr.minors)
@@ -62,13 +89,43 @@ class TestSplitCounter:
 
     def test_block_bytes_is_one_block(self):
         assert len(SplitCounter().to_block_bytes()) == BLOCK_SIZE
-        ctr = SplitCounter(major=7, minors=tuple([127] * 64))
+        ctr = SplitCounter.from_minors(7, [127] * 64)
         assert len(ctr.to_block_bytes()) == BLOCK_SIZE
 
     def test_block_bytes_distinct(self):
         a = SplitCounter().bump(0)
         b = SplitCounter().bump(1)
         assert a.to_block_bytes() != b.to_block_bytes()
+
+    @pytest.mark.parametrize("bad", [[0] * 63, [0] * 65, [0] * 63 + [128], [-1] + [0] * 63])
+    def test_from_minors_rejects_bad_input(self, bad):
+        with pytest.raises(ValueError):
+            SplitCounter.from_minors(0, bad)
+
+    def test_from_minors_round_trips(self):
+        minors = [(7 * i) % 128 for i in range(64)]
+        ctr = SplitCounter.from_minors(3, minors)
+        assert ctr.minors == tuple(minors)
+        assert ctr == SplitCounter.from_minors(3, ctr.minors)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_matches_tuple_reference(self, seed):
+        # few blocks per sequence, so minors cross the 127 overflow often
+        rng = random.Random(seed)
+        blocks = rng.sample(range(64), rng.choice([1, 2, 5]))
+        ref, ctr = TupleSplitCounter(), SplitCounter()
+        seen_ref, seen = set(), set()
+        for _ in range(700):
+            block = rng.choice(blocks)
+            ref, ctr = ref.bump(block), ctr.bump(block)
+            assert (ctr.major, ctr.minors) == (ref.major, ref.minors)
+            assert all(ctr.effective(i) == ref.effective(i) for i in range(64))
+            assert ctr.to_block_bytes() == ref.to_block_bytes()
+            assert ctr == SplitCounter.from_minors(ref.major, ref.minors)
+            seen_ref.add(ref)
+            seen.add(ctr)
+            assert len(seen) == len(seen_ref)
+        assert ref.major >= 1
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=300))
     def test_effective_counter_never_repeats(self, bumps):
