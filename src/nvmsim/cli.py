@@ -8,14 +8,14 @@ resolved configuration (and its hash) so results are reproducible.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import hashlib
-import io
 import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, fields, replace as _dc_replace
+from dataclasses import asdict, field, fields, make_dataclass, replace as _dc_replace
 from typing import Optional
 
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
@@ -35,56 +35,38 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one simulation run."""
+# GenSpec's fields under the names `nvmsim run` gives them; the seed is SimParams' own
+GEN_FIELDS = {"epoch_size": "fence_interval", "gen_stores": "store_count",
+              "gen_pages": "pages", "gen_run_length": "run_length"}
 
-    scheme: str = "sequential"
-    arity: int = 8
-    levels: int = 9
-    mac_latency: int = 40
-    cache_hit: int = 2
-    cache_fill: int = 200
-    wpq_enqueue: int = 1
-    drain_interval: int = 8
-    wpq_capacity: int = 128
-    ptt_capacity: int = 64
-    ett_capacity: int = 2
-    epoch_size: int = 32
-    mac_units: int = 0
-    cache_kb: int = 128
-    cache_assoc: int = 8
-    ideal_caches: bool = False
-    event_log: bool = True
-    seed: int = 0
-    trace_file: Optional[str] = None
-    gen_stores: int = 64
-    gen_pages: int = 8
-    gen_run_length: int = 1
+
+class _RunConfigMethods:
+    """Fully resolved configuration of one simulation run.
+
+    Its fields and their defaults come from ``SimParams`` (all but
+    ``latency``) and ``LatencyConfig``, then ``trace_file``, then the
+    ``GenSpec`` fields named in ``GEN_FIELDS``.  Building one validates it:
+    an out-of-range value raises ValueError.
+    """
+
+    def __post_init__(self) -> None:
+        self.sim_params()
+        self.gen_spec()
 
     def replace(self, **kw) -> "RunConfig":
         return _dc_replace(self, **kw)
 
-    def _fields_of(self, cls) -> dict:
-        """This config's values of the fields it shares with dataclass ``cls``."""
-        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in self.__dataclass_fields__}
-
     def sim_params(self) -> SimParams:
-        return SimParams(latency=LatencyConfig(**self._fields_of(LatencyConfig)),
-                         **self._fields_of(SimParams))
+        values = {f.name: getattr(self, f.name) for f in fields(SimParams) if f.name != "latency"}
+        latency = LatencyConfig(**{f.name: getattr(self, f.name) for f in fields(LatencyConfig)})
+        return SimParams(latency=latency, **values)
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def gen_spec(self) -> GenSpec:
-        return GenSpec(
-            store_count=self.gen_stores,
-            pages=self.gen_pages,
-            run_length=self.gen_run_length,
-            fence_interval=self.epoch_size,
-            seed=self.seed,
-        )
+        return GenSpec(seed=self.seed, **{spec: getattr(self, name) for name, spec in GEN_FIELDS.items()})
 
     def load_trace(self):
         """The configured trace; every store must fall inside the tree's capacity."""
@@ -99,6 +81,24 @@ class RunConfig:
                 raise UsageError(f"store {i} is on page {store.addr.page}, outside the protected "
                                  f"capacity of {geometry.leaf_count} pages")
         return events
+
+
+def _knobs(pairs) -> list:
+    """``(name, type, field)`` of each ``(name, source field)`` pair, with the source's default."""
+    return [(name, type(source.default), field(default=source.default)) for name, source in pairs]
+
+
+_GEN_SOURCES = {f.name: f for f in fields(GenSpec)}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    _knobs((f.name, f) for f in (*fields(SimParams), *fields(LatencyConfig)) if f.name != "latency")
+    + [("trace_file", Optional[str], field(default=None))]
+    + _knobs((name, _GEN_SOURCES[spec]) for name, spec in GEN_FIELDS.items()),
+    bases=(_RunConfigMethods,),
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": _RunConfigMethods.__doc__},
+)
 
 
 def build_report(config: RunConfig, sim: Simulator, baseline_cycles: Optional[int] = None) -> dict:
@@ -216,28 +216,24 @@ def cmd_sweep(config: RunConfig, axis: str, values, out) -> int:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise UsageError("sweep needs at least one axis value")
+    field_name = axis.replace("-", "_")
+    axis_configs = []
+    for value in values:
+        try:
+            axis_configs.append(config.replace(**{field_name: value}))
+        except ValueError as exc:
+            raise UsageError(f"sweep value {value} for {axis}: {exc}") from exc
     base_events = config.load_trace()
     writer = csv.writer(out)
     writer.writerow(
         ["axis", "value", "scheme", "last_completion_cycle", "total_cycles",
          "node_updates", "coalesce_pairs", "persists", "config_hash"]
     )
-    for value in values:
+    for value, axis_config in zip(values, axis_configs):
+        events = refence(base_events, value) if axis == "epoch-size" else base_events
         for scheme in SCHEMES:
-            cfg = config.replace(scheme=scheme)
-            events = base_events
-            if axis == "epoch-size":
-                cfg = cfg.replace(epoch_size=value)
-                events = refence(base_events, value)
-            elif axis == "mac-latency":
-                cfg = cfg.replace(mac_latency=value)
-            else:
-                cfg = cfg.replace(cache_kb=value)
-            try:
-                params = cfg.sim_params()
-            except ValueError as exc:
-                raise UsageError(f"sweep value {value} for {axis}: {exc}") from exc
-            sim = Simulator(params, events)
+            cfg = axis_config.replace(scheme=scheme)
+            sim = Simulator(cfg.sim_params(), events)
             run_until_idle(sim)
             stats = sim.stats_dict()
             writer.writerow(
@@ -279,89 +275,75 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the flags not spelled --field-name with an int, or store_true for a bool
+_FLAG_EXCEPTIONS = {
+    "scheme": ("--scheme", {"choices": SCHEMES}),
+    "event_log": ("--no-event-log", {"action": "store_false"}),
+    "trace_file": ("--trace", {}),
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--arity", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--mac-latency", type=int, default=None)
-    p.add_argument("--cache-hit", type=int, default=None)
-    p.add_argument("--cache-fill", type=int, default=None)
-    p.add_argument("--wpq-enqueue", type=int, default=None)
-    p.add_argument("--drain-interval", type=int, default=None)
-    p.add_argument("--wpq-capacity", type=int, default=None)
-    p.add_argument("--ptt-capacity", type=int, default=None)
-    p.add_argument("--ett-capacity", type=int, default=None)
-    p.add_argument("--epoch-size", type=int, default=None)
-    p.add_argument("--mac-units", type=int, default=None)
-    p.add_argument("--cache-kb", type=int, default=None)
-    p.add_argument("--cache-assoc", type=int, default=None)
-    p.add_argument("--ideal-caches", action="store_true", default=None)
-    p.add_argument("--no-event-log", dest="event_log", action="store_false", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trace", dest="trace_file", default=None)
-    p.add_argument("--gen-stores", type=int, default=None)
-    p.add_argument("--gen-pages", type=int, default=None)
-    p.add_argument("--gen-run-length", type=int, default=None)
+    for f in fields(RunConfig):
+        flag, kw = _FLAG_EXCEPTIONS.get(f.name) or (
+            "--" + f.name.replace("_", "-"),
+            {"action": "store_true"} if f.type is bool else {"type": int},
+        )
+        p.add_argument(flag, dest=f.name, default=None, **kw)
     p.add_argument("--config", dest="config_file", default=None,
                    help="key=value config file with [section] headers")
 
 
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _config_from_file(path: str) -> dict:
-    import configparser
-
+    """The file's values, coerced, by field name."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise UsageError(f"cannot read config file {path}")
+    try:
+        if not cp.read(path):
+            raise UsageError(f"cannot read config file {path}")
+        items = [item for section in cp.sections() for item in cp.items(section)]
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
     out = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
-            key = key.replace("-", "_")
-            if key not in _CONFIG_FIELDS:
-                raise UsageError(f"unknown config key {key!r} in {path}")
-            out[key] = raw
+    for key, raw in items:
+        key = key.replace("-", "_")
+        if key not in _CONFIG_FIELDS:
+            raise UsageError(f"unknown config key {key!r} in {path}")
+        out[key] = _coerce(key, raw)
     return out
 
 
-def _coerce(field_name: str, raw):
-    typ = RunConfig.__dataclass_fields__[field_name].type
-    if isinstance(raw, str):
-        if typ in ("int", int):
-            return int(raw)
-        if typ in ("bool", bool):
-            return raw.lower() in ("1", "true", "yes", "on")
+def _coerce(field_name: str, raw: str):
+    typ = _CONFIG_FIELDS[field_name]
+    if typ is bool:
+        word = raw.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise UsageError(f"{field_name} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
+    if typ is int:
+        return int(raw)
     return raw
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < config file < environment < command-line flags.
 
-    The simulation parameters and the generator spec are built here too, so
-    an out-of-range value is a usage error before anything runs.
+    Building the config validates it, so an out-of-range value is a usage
+    error before anything runs.
     """
-    values: dict = {}
     try:
-        config_file = getattr(args, "config_file", None)
-        if config_file:
-            for key, raw in _config_from_file(config_file).items():
-                values[key] = _coerce(key, raw)
+        values = _config_from_file(args.config_file) if args.config_file else {}
         for field_name in _CONFIG_FIELDS:
             env = os.environ.get(ENV_PREFIX + field_name.upper())
             if env is not None:
                 values[field_name] = _coerce(field_name, env)
-        for field_name in _CONFIG_FIELDS:
-            flag = getattr(args, field_name, None)
-            if flag is not None:
-                values[field_name] = flag
-        config = RunConfig(**values)
-        config.sim_params()
-        config.gen_spec()
+            if getattr(args, field_name) is not None:
+                values[field_name] = getattr(args, field_name)
+        return RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def make_parser() -> _Parser:
@@ -372,7 +354,6 @@ def make_parser() -> _Parser:
     _add_config_flags(p_run)
     p_run.add_argument("--baseline", choices=SCHEMES, default=None,
                        help="also run this scheme and report normalized slowdown")
-    p_run.add_argument("--out", default=None)
 
     p_crash = sub.add_parser("crash-sweep", help="random crash injections + recovery checks")
     _add_config_flags(p_crash)
@@ -380,23 +361,21 @@ def make_parser() -> _Parser:
     p_crash.add_argument("--sweep-seed", type=int, default=1)
     p_crash.add_argument("--omission-matrix", action="store_true",
                          help="run the four tuple-omission injections instead")
-    p_crash.add_argument("--out", default=None)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis across all schemes, emit CSV")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 0,20,40,80")
-    p_sweep.add_argument("--out", default=None)
 
     p_gen = sub.add_parser("gen-trace", help="write a synthetic trace")
     _add_config_flags(p_gen)
-    p_gen.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify-trace", help="parse a trace file and summarize it")
     p_verify.add_argument("trace_path")
-    p_verify.add_argument("--out", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -407,25 +386,20 @@ def main(argv=None) -> int:
         out_path = getattr(args, "out", None)
         out = open(out_path, "w") if out_path else sys.stdout
         try:
+            if args.command == "verify-trace":
+                return cmd_verify_trace(args.trace_path, out)
+            config = resolve_config(args)
             if args.command == "run":
-                config = resolve_config(args)
                 return cmd_run(config, args.baseline, out)
             if args.command == "crash-sweep":
-                config = resolve_config(args)
                 return cmd_crash_sweep(config, args.points, args.sweep_seed, args.omission_matrix, out)
             if args.command == "sweep":
-                config = resolve_config(args)
                 try:
                     values = [int(v) for v in args.values.split(",") if v.strip()]
                 except ValueError:
                     raise UsageError(f"sweep values must be integers, got {args.values!r}") from None
                 return cmd_sweep(config, args.axis, values, out)
-            if args.command == "gen-trace":
-                config = resolve_config(args)
-                return cmd_gen_trace(config, out)
-            if args.command == "verify-trace":
-                return cmd_verify_trace(args.trace_path, out)
-            raise UsageError(f"unknown command {args.command!r}")
+            return cmd_gen_trace(config, out)
         finally:
             if out_path:
                 out.close()

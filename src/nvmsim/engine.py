@@ -98,6 +98,8 @@ class SimParams:
             raise ValueError("capacities must be >= 1")
         if self.mac_units < 0:
             raise ValueError("mac units must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in 0 .. 2**64-1")
         self.geometry()
         CacheConfig("metadata", self.cache_kb * 1024, self.cache_assoc)
 
@@ -290,12 +292,10 @@ class Simulator:
         # self._dispatch(self, now), so no bound method refers back to self
         self._dispatch = _POLICIES[params.scheme]
         self.inflight_updates = 0
-        self.node_last_issue: dict = {}
-        self.node_commit_horizon: dict = {}
+        self.node_commit_horizon: dict = {}  # label -> its last commit, while that can delay one
         self.level_last_issue: dict = {}
         self._issue_cycle = -1
         self._issues_this_cycle = 0
-        self.last_submitted: Optional[PttEntry] = None
 
         self.drain_eligible: list = []  # heap of pids (drain in persist order)
         self.next_drain_free = 0
@@ -422,9 +422,10 @@ class Simulator:
         entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), levels, wpq, ett, ready)
         self.ptt_order.append(entry)
 
-        if self.scheme == "coalesce":
-            self.coalesce_pair(entry, self.last_submitted)
-        self.last_submitted = entry
+        if self.scheme == "coalesce" and len(self.ptt_order) > 1:
+            # a predecessor that has left ptt_order has persisted, and a
+            # persisted predecessor never pairs
+            self.coalesce_pair(entry, self.ptt_order[-2])
         self._schedule_kick(ready)
 
     def _wake_submit(self, now: int) -> None:
@@ -498,7 +499,6 @@ class Simulator:
         entry.next_idx = idx + 1
         entry.inflight = True
         self.inflight_updates += 1
-        self.node_last_issue[label] = now
         self.level_last_issue[level] = now
         if self._issue_cycle != now:
             self._issue_cycle = now
@@ -532,6 +532,11 @@ class Simulator:
         entry, label, level, value, start, _commit = payload
         now = self.clock
         self.bmt.commit_node(label, value)
+        # with no later update of this node in flight, its entry can delay
+        # only a commit that an update issued in this cycle makes in this
+        # cycle, which takes a MAC latency of 0
+        if self.node_commit_horizon[label] == now and self.latency.mac_latency:
+            del self.node_commit_horizon[label]
         self.stats["node_updates"] += 1
         if self.params.event_log:
             self._updates.extend((start, now, entry.pid, level))
@@ -662,11 +667,8 @@ class Simulator:
                     break
             if gated:
                 continue
-            label = entry.path[entry.next_idx]
-            earliest = max(
-                self.node_last_issue.get(label, -1) + 1,
-                self.level_last_issue.get(level, -1) + 1,
-            )
+            # a node's last issue is never after its level's, so this bounds both
+            earliest = self.level_last_issue.get(level, -1) + 1
             if units > 0 and self._issue_cycle == now and self._issues_this_cycle >= units:
                 earliest = max(earliest, now + 1)
             if earliest > now:

@@ -2,11 +2,23 @@ import hashlib
 import json
 import os
 import random
+from dataclasses import fields
 
 import pytest
 
-from nvmsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, event_log_digest, main
-from nvmsim.engine import SCHEMES
+from nvmsim.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    GEN_FIELDS,
+    RunConfig,
+    event_log_digest,
+    main,
+    make_parser,
+)
+from nvmsim.engine import SCHEMES, SimParams
+from nvmsim.timing import LatencyConfig
+from nvmsim.trace import GenSpec
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 
@@ -181,13 +193,47 @@ def test_missing_trace_file(capsys):
         ("sweep", "--axis", "mac-latency", "--values", "a,b", *BASE),
         ("sweep", "--axis", "cache-kb", "--values", "0", *BASE),
         ("crash-sweep", "--omission-matrix", *BASE, "--gen-stores", "0"),
+        ("run", "--seed", "-1", *BASE),
+        ("run", "--seed", str(2**64), *BASE),
+        ("sweep", "--axis", "epoch-size", "--values", "-3", *BASE),
     ],
     ids=["negative-mac-latency", "zero-wpq-capacity", "arity-one", "zero-cache-assoc",
          "negative-mac-units", "non-integer-sweep-values", "zero-cache-kb-sweep-value",
-         "omission-matrix-without-stores"],
+         "omission-matrix-without-stores", "negative-seed", "seed-above-64-bits",
+         "negative-epoch-size-sweep-value"],
 )
 def test_bad_input_is_usage_error_with_message(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "scheme = ooo\n",
+        "[run]\nseed = 1\nseed = 2\n",
+        "[run]\nseed\n",
+        "[run]\nscheme = %(x)s\n",
+        "[run]\nideal_caches = maybe\n",
+        "[run]\nseed = -1\n",
+        ("NVMSIM_SEED", "-1"),
+        ("NVMSIM_SEED", str(2**64)),
+        ("NVMSIM_IDEAL_CACHES", "maybe"),
+    ],
+    ids=["file-without-section", "file-duplicate-key", "file-key-without-value",
+         "file-interpolation", "file-bool-maybe", "file-negative-seed",
+         "env-negative-seed", "env-seed-above-64-bits", "env-bool-maybe"],
+)
+def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeypatch, setting):
+    if isinstance(setting, tuple):
+        monkeypatch.setenv(*setting)
+        argv = BASE
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting)
+        argv = [*BASE, "--config", str(cfg)]
+    code, _, err = run_cli(capsys, "run", *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: ")
 
@@ -235,3 +281,54 @@ def test_omission_matrix_cut_inside_the_epoch_needs_only_contain_the_row(capsys)
     assert {row["comparison"] for row in rows.values()} == {"contains"}
     assert all(row["match"] for row in rows.values())
     assert any(row["got"] != row["expected"] for row in rows.values())
+
+
+def test_run_config_fields_are_derived_from_their_sources():
+    sources = {f.name: f.default for f in fields(SimParams) if f.name != "latency"}
+    sources.update((f.name, f.default) for f in fields(LatencyConfig))
+    sources["trace_file"] = None
+    gen_defaults = {f.name: f.default for f in fields(GenSpec)}
+    sources.update((name, gen_defaults[spec]) for name, spec in GEN_FIELDS.items())
+    assert {f.name: f.default for f in fields(RunConfig)} == sources
+    assert len(sources) == 22
+
+
+def test_config_hash_pins():
+    assert RunConfig().config_hash() == "74f6aae778a712f2"
+    config = RunConfig(scheme="ooo", seed=3, gen_stores=2048, gen_pages=64, gen_run_length=4, epoch_size=8)
+    assert config.config_hash() == "499f3f36279bbc61"
+
+
+def test_run_option_strings_pin():
+    run = make_parser()._subparsers._group_actions[0].choices["run"]
+    assert sorted(s for action in run._actions for s in action.option_strings) == [
+        "--arity", "--baseline", "--cache-assoc", "--cache-fill", "--cache-hit", "--cache-kb",
+        "--config", "--drain-interval", "--epoch-size", "--ett-capacity", "--gen-pages",
+        "--gen-run-length", "--gen-stores", "--help", "--ideal-caches", "--levels",
+        "--mac-latency", "--mac-units", "--no-event-log", "--out", "--ptt-capacity", "--scheme",
+        "--seed", "--trace", "--wpq-capacity", "--wpq-enqueue", "-h",
+    ]
+
+
+SMALL = {"levels": 4, "ideal_caches": True, "gen_stores": 8, "gen_pages": 4}
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type is int])
+def test_every_int_field_reaches_the_report(tmp_path, capsys, monkeypatch, name, source):
+    value = 2 * SMALL.get(name, RunConfig.__dataclass_fields__[name].default) or 1
+    argv = ["run"]
+    for other, setting in SMALL.items():
+        if other != name:
+            argv += [f"--{other.replace('_', '-')}"] + ([] if setting is True else [str(setting)])
+    if source == "flag":
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    elif source == "env":
+        monkeypatch.setenv(f"NVMSIM_{name.upper()}", str(value))
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\n{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"][name] == value

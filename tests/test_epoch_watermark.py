@@ -103,9 +103,15 @@ def test_tracking_state_is_freed_after_persist(scheme):
         while not sim.ptt_order:
             step(sim)
         first = weakref.ref(sim.ptt_order[0])
+        while sim.pending_trace_events():
+            step(sim)
+        last = weakref.ref(sim.ptt_order[-1])
         run_until_idle(sim)
         assert first() is None
+        assert last() is None
         assert sim.open_idx == len(sim.epochs)
+        # a commit cycle below the clock can no longer delay a commit
+        assert all(cycle >= sim.clock for cycle in sim.node_commit_horizon.values())
         finished = weakref.ref(sim)
         del sim
         assert finished() is None

@@ -6,7 +6,10 @@ digest of every persist's ``(complete_cycle, drained_cycle)``, a digest of
 the epoch completion cycles and a digest of the recovery verdicts at three
 seeded crash cycles.  The grid
 covers what the benchmark's pins do not: capacities of 1, real 1 KB caches,
-one shared MAC unit, binary trees and traces with and without fences.
+one shared MAC unit, binary trees and traces with and without fences,
+plus a MAC latency of 0, under which a node update that hits the cache
+commits in the cycle it issues, so a node can be re-issued in the cycle
+its last update committed.
 Stall cycles are not pinned, so their accounting may change on its own.
 
 Re-pin after an intended change of simulated behaviour with
@@ -25,6 +28,7 @@ from nvmsim import (
     SCHEMES,
     CrashPlan,
     GenSpec,
+    LatencyConfig,
     SimParams,
     Simulator,
     check_prefix_consistency,
@@ -45,13 +49,23 @@ GRID = {
 }
 
 
+LATENCIES = {
+    "mac0": LatencyConfig(mac_latency=0, cache_hit=0),
+    "zero": LatencyConfig(mac_latency=0, cache_hit=0, cache_fill=0),
+}
+
+
 def cases(scheme):
     for values in itertools.product(*GRID.values()):
         yield dict(zip(GRID, values), scheme=scheme)
+    for latency, arity, cache_kb in itertools.product(LATENCIES, (2, 8), (0, 1)):
+        yield dict(arity=arity, capacity=64, cache_kb=cache_kb, mac_units=0, fence=5,
+                   scheme=scheme, latency=latency)
 
 
 def case_id(case) -> str:
-    return ",".join(f"{key}={case[key]}" for key in ("scheme", *GRID))
+    key = ",".join(f"{key}={case[key]}" for key in ("scheme", *GRID))
+    return f"{key},latency={case['latency']}" if "latency" in case else key
 
 
 def _digest(value) -> str:
@@ -81,6 +95,7 @@ def outcome(case) -> dict:
         mac_units=case["mac_units"],
         cache_kb=case["cache_kb"] or 1,
         ideal_caches=case["cache_kb"] == 0,
+        latency=LATENCIES.get(case.get("latency"), LatencyConfig()),
     )
     trace = generate(GenSpec(store_count=60, pages=16, run_length=3,
                              fence_interval=case["fence"], seed=5))
