@@ -9,7 +9,9 @@ covers what the benchmark's pins do not: capacities of 1, real 1 KB caches,
 one shared MAC unit, binary trees and traces with and without fences,
 plus a MAC latency of 0, under which a node update that hits the cache
 commits in the cycle it issues, so a node can be re-issued in the cycle
-its last update committed.
+its last update committed, and, under the epoch schemes, an ETT of 2 or
+3 epochs that binds behind a 64-entry WPQ and PTT, with fences every
+store or every fifth store and two shared MAC units.
 Stall cycles are not pinned, so their accounting may change on its own.
 
 Re-pin after an intended change of simulated behaviour with
@@ -37,6 +39,7 @@ from nvmsim import (
     recover,
     run_until_idle,
 )
+from nvmsim.engine import EPOCH_SCHEMES
 
 PINS = Path(__file__).parent / "data" / "schedule_pins.json"
 
@@ -61,11 +64,18 @@ def cases(scheme):
     for latency, arity, cache_kb in itertools.product(LATENCIES, (2, 8), (0, 1)):
         yield dict(arity=arity, capacity=64, cache_kb=cache_kb, mac_units=0, fence=5,
                    scheme=scheme, latency=latency)
+    if scheme not in EPOCH_SCHEMES:
+        return
+    # an ETT of 2 or 3 live epochs behind a roomy WPQ and PTT, with two MAC units
+    for ett_capacity, arity, cache_kb, mac_units, fence in itertools.product(
+            (2, 3), (2, 8), (0, 1), (0, 2), (1, 5)):
+        yield dict(arity=arity, capacity=64, cache_kb=cache_kb, mac_units=mac_units, fence=fence,
+                   scheme=scheme, ett_capacity=ett_capacity)
 
 
 def case_id(case) -> str:
-    key = ",".join(f"{key}={case[key]}" for key in ("scheme", *GRID))
-    return f"{key},latency={case['latency']}" if "latency" in case else key
+    return ",".join(f"{key}={case[key]}" for key in ("scheme", *GRID, "latency", "ett_capacity")
+                    if key in case)
 
 
 def _digest(value) -> str:
@@ -91,7 +101,7 @@ def outcome(case) -> dict:
         levels=5 if case["arity"] == 2 else 4,
         wpq_capacity=capacity,
         ptt_capacity=capacity,
-        ett_capacity=capacity,
+        ett_capacity=case.get("ett_capacity", capacity),
         mac_units=case["mac_units"],
         cache_kb=case["cache_kb"] or 1,
         ideal_caches=case["cache_kb"] == 0,
