@@ -21,7 +21,7 @@ from typing import Optional
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
 from .engine import SCHEMES, SimParams, Simulator
 from .timing import DeadlockError, LatencyConfig, run_until_idle
-from .trace import GenSpec, TraceParseError, generate, parse, refence, render, stores_in
+from .trace import GenSpec, TraceParseError, generate, read_trace, refence, render, stores_in
 
 ENV_PREFIX = "NVMSIM_"
 
@@ -70,11 +70,7 @@ class _RunConfigMethods:
 
     def load_trace(self):
         """The configured trace; every store must fall inside the tree's capacity."""
-        if self.trace_file is not None:
-            with open(self.trace_file) as fh:
-                events = parse(fh.read())
-        else:
-            events = generate(self.gen_spec())
+        events = read_trace(self.trace_file) if self.trace_file is not None else generate(self.gen_spec())
         geometry = self.sim_params().geometry()
         for i, store in enumerate(stores_in(events)):
             if store.addr.page >= geometry.leaf_count:
@@ -250,8 +246,7 @@ def cmd_gen_trace(config: RunConfig, out) -> int:
 
 
 def cmd_verify_trace(path: str, out) -> int:
-    with open(path) as fh:
-        events = parse(fh.read())
+    events = read_trace(path)
     stores = stores_in(events)
     pages = {s.addr.page for s in stores}
     summary = {
@@ -311,19 +306,23 @@ def _config_from_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"unknown config key {key!r} in {path}")
-        out[key] = _coerce(key, raw)
+        out[key] = _coerce(key, raw, f"config file {path}")
     return out
 
 
-def _coerce(field_name: str, raw: str):
+def _coerce(field_name: str, raw: str, source: str):
+    """``raw`` as the field's type; ``source`` names where it was read."""
     typ = _CONFIG_FIELDS[field_name]
     if typ is bool:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise UsageError(f"{field_name} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+            raise UsageError(f"{field_name} in {source} must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[word]
     if typ is int:
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise UsageError(f"{field_name} in {source} must be an integer, got {raw!r}") from None
     return raw
 
 
@@ -336,9 +335,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     try:
         values = _config_from_file(args.config_file) if args.config_file else {}
         for field_name in _CONFIG_FIELDS:
-            env = os.environ.get(ENV_PREFIX + field_name.upper())
-            if env is not None:
-                values[field_name] = _coerce(field_name, env)
+            env = ENV_PREFIX + field_name.upper()
+            if env in os.environ:
+                values[field_name] = _coerce(field_name, os.environ[env], f"environment variable {env}")
             if getattr(args, field_name) is not None:
                 values[field_name] = getattr(args, field_name)
         return RunConfig(**values)

@@ -1,8 +1,9 @@
 """Crash injection and recovery verification.
 
 ``crash`` cuts a finished simulation at a chosen point and reconstructs
-exactly what the persist domain held: NVMM images folded from durable
-write-pending-queue components, plus the root register.  ``recover``
+exactly what the persist domain held: NVMM images folded from the
+write-pending-queue entries the engine had let drain by then (by their
+``durable_cycle``), plus the root register.  ``recover``
 then replays what a real controller could do after power loss - rebuild
 the integrity tree from durable counters, check every MAC, decrypt - and
 reports per-block verdicts.  ``check_prefix_consistency`` is the
@@ -63,7 +64,6 @@ class DurableSnapshot:
     completed_epochs: set
     incomplete_epochs: set
     excluded_addrs: set
-    omitted: Optional[tuple] = None
 
 
 @dataclass
@@ -150,12 +150,11 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
 def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     """Cut the run at the plan's point and fold the durable state.
 
-    The run is only read, never changed.  Volatile state (metadata caches,
-    tracking tables) is left out of the snapshot; under strict persistency
-    an entry survives only if its whole tuple completed by the cut, under
-    epoch persistency once its tuple arrived and its epoch is unlocked.  In
-    tuple-omission mode the named component of the named persist is
-    deleted after the cut.
+    The run is only read, never changed, and volatile state (metadata
+    caches, tracking tables) is left out.  An entry survives if and only if
+    its ``durable_cycle`` is not after the cut, so a cut is defined for the
+    cycles the run has fully processed.  In tuple-omission mode the named
+    component of the named persist is deleted after the cut.
     """
     cut = _resolve_cut(sim, plan)
     omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else None
@@ -164,33 +163,21 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     data: dict = {}
     counters: dict = {}
     macs: dict = {}
-    expected_plain: dict = {}
-    touched: set = set()
+    expected_plain: dict = {}  # its keys are the touched blocks
     incomplete_epochs: set = set()
 
-    # Persists come in epoch order, so each epoch is decided once, from the
-    # run's record alone: the oldest epoch with members is unlocked from the
-    # start, every later one a cycle after its predecessor completed.
-    epoch, done = None, None
-    unlocked = in_flight = False
     for entry in sim.wpq_entries:
         # the three components arrive together, so they are durable together
-        if is_ep:
-            if entry.epoch != epoch:
-                unlocked = epoch is None or (done is not None and done + 1 <= cut)
-                epoch = entry.epoch
-                done = sim.epoch_completion.get(epoch)
-                in_flight = done is None or done > cut
-            if not unlocked or entry.arrival_cycle is None or entry.arrival_cycle > cut:
-                continue
-            if in_flight:
-                incomplete_epochs.add(epoch)
-        elif entry.complete_cycle is None or entry.complete_cycle > cut:
+        durable = entry.durable_cycle
+        if durable is None or durable > cut:
             continue
+        if is_ep:
+            done = sim.epoch_completion.get(entry.epoch)
+            if done is None or done > cut:
+                incomplete_epochs.add(entry.epoch)
         skip = omitted[1] if omitted is not None and entry.pid == omitted[0] else None
         addr = entry.addr.value
-        # at most one component is omitted, so ciphertext or MAC is durable
-        touched.add(addr)
+        # touched even with one component omitted: ciphertext or MAC is durable
         expected_plain[addr] = sim.golden.log[entry.pid].plaintext
         if skip != "ciphertext":
             data[addr] = entry.ciphertext
@@ -223,7 +210,7 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
             if entry.epoch in incomplete_epochs and entry.submit_cycle <= cut:
                 excluded_addrs.add(entry.addr.value)
                 tainted_pages.add(entry.addr.page)
-        for addr in touched:
+        for addr in expected_plain:
             if addr // PAGE_SIZE in tainted_pages:
                 excluded_addrs.add(addr)
 
@@ -235,11 +222,10 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
         macs=macs,
         root_register=root_register,
         expected_plain=expected_plain,
-        touched=touched,
+        touched=set(expected_plain),
         completed_epochs=completed_epochs,
         incomplete_epochs=incomplete_epochs,
         excluded_addrs=excluded_addrs,
-        omitted=omitted,
     )
 
 

@@ -36,7 +36,12 @@ epoch with members, oldest first; an epoch's stores are consecutive
 persists, so its members are ``range(first_pid, end_pid)``.  Epochs
 complete strictly in order, at cycles that never decrease, so the watermark
 ``open_idx`` splits the table: ``epochs[:open_idx]`` have completed and
-``epochs[open_idx:]`` is the live epoch tracking table (ETT).
+``epochs[open_idx:]`` is the live epoch tracking table (ETT).  Each
+unpersisted persist occupies the level of its update in flight or next to
+issue, so the ooo walk over ``ptt_order`` (in epoch order) finds the
+deepest level older epochs occupy as it goes.  A WPQ entry survives power
+loss from its ``durable_cycle``, when it may drain: under SP once its
+tuple completed, under EP once it arrived and its epoch is unlocked.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ class WpqEntry:
         "root_done_cycle",
         "complete_cycle",
         "drained_cycle",
-        "drain_queued",
+        "durable_cycle",
     )
 
     def __init__(self, pid, addr, epoch, submit_cycle, ciphertext, counter_block, mac):
@@ -141,7 +146,7 @@ class WpqEntry:
         self.root_done_cycle = None
         self.complete_cycle = None
         self.drained_cycle = None
-        self.drain_queued = False
+        self.durable_cycle = None  # queued to drain: survives power loss from here on
 
     @property
     def state(self) -> str:
@@ -175,48 +180,32 @@ class PttEntry:
         "path",
         "levels",
         "wpq",
-        "ett",
         "ready_cycle",
         "next_idx",
         "inflight",
         "last_plan_idx",
         "gate_count",
         "completed_below",
-        "delegated",
         "obligations",
         "persisted",
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, leaf, path, levels, wpq, ett, ready_cycle):
+    def __init__(self, pid, epoch, leaf, path, levels, wpq, ready_cycle):
         self.pid = pid
         self.epoch = epoch
         self.leaf = leaf
         self.path = path
         self.levels = levels
         self.wpq = wpq
-        self.ett = ett  # this persist's epoch entry; None under strict persistency
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
         self.last_plan_idx = levels - 1
-        self.gate_count = levels  # plan nodes below the merge point, if delegated
+        self.gate_count = levels  # plan nodes below the merge point; < levels once it leads a pair
         self.completed_below = 0
-        self.delegated = False
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
         self.persisted = False
-
-    def level_at(self, idx: int) -> int:
-        return self.levels - idx
-
-    @property
-    def pending_level(self) -> Optional[int]:
-        """Level this persist currently occupies (in flight or next to issue)."""
-        if self.inflight:
-            return self.levels - (self.next_idx - 1)
-        if self.next_idx <= self.last_plan_idx:
-            return self.levels - self.next_idx
-        return None
 
     @property
     def below_done(self) -> bool:
@@ -224,23 +213,15 @@ class PttEntry:
 
 
 class EttEntry:
-    """One epoch with members: its persists ``range(first_pid, end_pid)``
-    and, while it is live, its tree-level occupancy."""
+    """One epoch with members: its persists ``range(first_pid, end_pid)``."""
 
-    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "level_counts")
+    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete")
 
-    def __init__(self, epoch, first_pid, levels):
+    def __init__(self, epoch, first_pid):
         self.epoch = epoch
         self.first_pid = first_pid
         self.end_pid = first_pid
         self.incomplete = 0  # members whose tuple has not completed yet
-        self.level_counts = [0] * (levels + 1)  # dropped when the epoch retires
-
-    def max_occupied_level(self) -> Optional[int]:
-        for level in range(len(self.level_counts) - 1, 0, -1):
-            if self.level_counts[level]:
-                return level
-        return None
 
 
 class Simulator:
@@ -408,18 +389,15 @@ class Simulator:
 
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
-        levels = self.geometry.levels
-        ett = None
         if self.is_ep:
             if not self.epochs or self.epochs[-1].epoch != epoch:
-                self.epochs.append(EttEntry(epoch, pid, levels))
+                self.epochs.append(EttEntry(epoch, pid))
             ett = self.epochs[-1]
             ett.end_pid = pid + 1
             ett.incomplete += 1
-            ett.level_counts[levels] += 1
 
         leaf = self.geometry.leaf_for_page(page)
-        entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), levels, wpq, ett, ready)
+        entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), self.geometry.levels, wpq, ready)
         self.ptt_order.append(entry)
 
         if self.scheme == "coalesce" and len(self.ptt_order) > 1:
@@ -448,7 +426,7 @@ class Simulator:
         """
         if prev is None or prev.epoch != new_entry.epoch:
             return None
-        if prev.delegated or prev.persisted:
+        if prev.gate_count < prev.levels or prev.persisted:  # it leads a pair or has persisted
             return None
         levels = self.geometry.levels
         lca_label = self.geometry.lca(prev.leaf, new_entry.leaf)
@@ -462,7 +440,6 @@ class Simulator:
             if shallowest_issued == lca_level and lca_level != levels:
                 return None
 
-        prev.delegated = True
         prev.last_plan_idx = max(levels - lca_level - 1, 0)
         prev.gate_count = levels - lca_level
         completed = prev.next_idx - (1 if prev.inflight else 0)
@@ -476,15 +453,6 @@ class Simulator:
             else:
                 keep.append((ob_level, leader))
         prev.obligations = keep
-
-        if not prev.inflight:
-            # truncation may have emptied the remaining plan: vacate the level
-            pending_after = prev.pending_level
-            old_pending = levels - prev.next_idx
-            if pending_after is None and prev.next_idx <= levels - 1:
-                if prev.ett.level_counts[old_pending] > 0:
-                    prev.ett.level_counts[old_pending] -= 1
-
         self.stats["coalesce_pairs"] += 1
         return lca_label
 
@@ -495,7 +463,7 @@ class Simulator:
     def _issue_update(self, entry: PttEntry, now: int) -> None:
         idx = entry.next_idx
         label = entry.path[idx]
-        level = entry.level_at(idx)
+        level = entry.levels - idx
         entry.next_idx = idx + 1
         entry.inflight = True
         self.inflight_updates += 1
@@ -546,13 +514,6 @@ class Simulator:
         idx = entry.next_idx - 1
         if idx < entry.gate_count:
             entry.completed_below += 1
-
-        if self.is_ep:
-            counts = entry.ett.level_counts
-            counts[level] -= 1
-            pending = entry.pending_level
-            if pending is not None:
-                counts[pending] += 1
 
         if label == 0:
             self.stats["root_updates"] += 1
@@ -641,24 +602,28 @@ class Simulator:
 
     # out-of-order / coalescing ----------------------------------------
 
-    def _epoch_authorized(self, entry: PttEntry, level: int) -> bool:
-        for ett in self.epochs[self.open_idx:]:
-            if ett.epoch >= entry.epoch:
-                break
-            occupied = ett.max_occupied_level()
-            if occupied is not None and level <= occupied:
-                return False
-        return True
-
     def _ooo_kick(self, now: int) -> None:
         units = self.params.mac_units
+        levels = self.geometry.levels
+        # ptt_order is in epoch order, so one pass finds `older`, the deepest
+        # level occupied by an epoch older than the entry's own
+        epoch = None
+        older = deepest = 0
         for entry in self.ptt_order:
-            if entry.inflight or entry.persisted or entry.next_idx > entry.last_plan_idx:
+            if entry.epoch != epoch:
+                epoch = entry.epoch
+                older = deepest
+                if older == levels:
+                    break  # no younger update can go deeper than a leaf
+            # an unpersisted persist occupies the level of its update in
+            # flight or, while its plan lasts, of the next one to issue
+            idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
+            if idx > entry.last_plan_idx:
                 continue
-            if entry.ready_cycle > now:
-                continue
-            level = entry.level_at(entry.next_idx)
-            if not self._epoch_authorized(entry, level):
+            level = levels - idx
+            if level > deepest:
+                deepest = level
+            if entry.inflight or entry.ready_cycle > now or level <= older:
                 continue
             gated = False
             for ob_level, leader in entry.obligations:
@@ -716,7 +681,6 @@ class Simulator:
             return False
         self.epoch_completion[ett.epoch] = now
         self.open_idx += 1
-        ett.level_counts = None
         self._wake_submit(now)
         for pid in range(ett.first_pid, ett.end_pid):
             self._maybe_drain(self.wpq_entries[pid], now)
@@ -756,7 +720,7 @@ class Simulator:
     # drains -------------------------------------------------------------
 
     def _maybe_drain(self, wpq: WpqEntry, now: int) -> None:
-        if wpq.drain_queued or wpq.drained_cycle is not None:
+        if wpq.durable_cycle is not None:
             return
         if self.is_ep:
             if not wpq.all_arrived():
@@ -767,7 +731,7 @@ class Simulator:
         else:
             if wpq.complete_cycle is None:
                 return
-        wpq.drain_queued = True
+        wpq.durable_cycle = now
         heappush(self.drain_eligible, wpq.pid)
         self._schedule_drain(now)
 

@@ -114,7 +114,6 @@ class GoldenMemory:
     """
 
     def __init__(self) -> None:
-        self.blocks: dict = {}
         self.log: list = []
 
     def apply_store(self, addr: BlockAddr, data: bytes, epoch: int = 0) -> int:
@@ -123,7 +122,6 @@ class GoldenMemory:
         if len(data) != BLOCK_SIZE:
             raise ValueError(f"payload must be {BLOCK_SIZE} bytes, got {len(data)}")
         persist_id = len(self.log)
-        self.blocks[addr.value] = data
         self.log.append(StoreRecord(persist_id, addr, data, epoch))
         return persist_id
 

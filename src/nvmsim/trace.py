@@ -75,6 +75,18 @@ def parse(stream: Union[str, Iterable[str]]) -> List[TraceEvent]:
     return events
 
 
+def read_trace(path: str) -> List[TraceEvent]:
+    """Parse the trace file at ``path``; text that is not UTF-8 is a parse error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    return parse(text)
+
+
 def render(events: Iterable[TraceEvent]) -> str:
     lines = []
     for ev in events:

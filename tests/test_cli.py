@@ -209,23 +209,26 @@ def test_bad_input_is_usage_error_with_message(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "setting",
+    "setting, named",
     [
-        "scheme = ooo\n",
-        "[run]\nseed = 1\nseed = 2\n",
-        "[run]\nseed\n",
-        "[run]\nscheme = %(x)s\n",
-        "[run]\nideal_caches = maybe\n",
-        "[run]\nseed = -1\n",
-        ("NVMSIM_SEED", "-1"),
-        ("NVMSIM_SEED", str(2**64)),
-        ("NVMSIM_IDEAL_CACHES", "maybe"),
+        ("scheme = ooo\n", ()),
+        ("[run]\nseed = 1\nseed = 2\n", ()),
+        ("[run]\nseed\n", ()),
+        ("[run]\nscheme = %(x)s\n", ()),
+        ("[run]\nideal_caches = maybe\n", ("ideal_caches", "config file")),
+        ("[run]\nseed = -1\n", ()),
+        (("NVMSIM_SEED", "-1"), ()),
+        (("NVMSIM_SEED", str(2**64)), ()),
+        (("NVMSIM_IDEAL_CACHES", "maybe"), ("ideal_caches", "NVMSIM_IDEAL_CACHES")),
+        ("[run]\nlevels = abc\n", ("levels", "config file", "'abc'")),
+        (("NVMSIM_SEED", "x"), ("seed", "NVMSIM_SEED", "'x'")),
     ],
     ids=["file-without-section", "file-duplicate-key", "file-key-without-value",
          "file-interpolation", "file-bool-maybe", "file-negative-seed",
-         "env-negative-seed", "env-seed-above-64-bits", "env-bool-maybe"],
+         "env-negative-seed", "env-seed-above-64-bits", "env-bool-maybe",
+         "file-non-integer", "env-non-integer"],
 )
-def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeypatch, setting):
+def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeypatch, setting, named):
     if isinstance(setting, tuple):
         monkeypatch.setenv(*setting)
         argv = BASE
@@ -236,6 +239,18 @@ def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeyp
     code, _, err = run_cli(capsys, "run", *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: ")
+    # a value of the wrong type names its knob and where it was read
+    assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("command", ["run", "verify-trace"])
+def test_trace_that_is_not_utf8_is_a_trace_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.trace"
+    path.write_bytes(b"S 0x0\nS 0x\xff40\n")
+    argv = ("run", "--trace", str(path), *BASE) if command == "run" else ("verify-trace", str(path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("trace error: line 2: ")
 
 
 def test_trace_path_that_is_a_directory(tmp_path, capsys):

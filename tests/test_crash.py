@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nvmsim import (
+    SCHEMES,
     CrashPlan,
     SimParams,
     Simulator,
@@ -16,6 +17,7 @@ from nvmsim.crash import DurableSnapshot, Violation
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import replay_plaintext_prefix
+from test_schedule_lock import case_simulator, cases
 
 
 def test_crash_plan_validation():
@@ -34,7 +36,7 @@ def test_crash_after_everything_is_final_state():
     snap = crash(sim, CrashPlan("at-cycle", cycle=sim.clock))
     report = recover(snap, sim.keys, sim.geometry)
     assert report.bmt_ok
-    assert report.recovered == sim.golden.blocks
+    assert report.recovered == replay_plaintext_prefix(sim.golden, len(sim.golden))
 
 
 def test_sp_mid_persist_crash_is_atomic():
@@ -208,3 +210,57 @@ def test_report_serializable():
     import json
 
     assert json.loads(json.dumps(d)) == d
+
+
+def reference_durable_pids(sim, cut):
+    """Pids durable at ``cut``, folded from the run's record by a walk over
+    the epochs: under SP an entry is durable once its tuple completed,
+    under EP once its tuple arrived and its epoch is unlocked, which the
+    oldest epoch with members is from the start and every later one a cycle
+    after its predecessor completed."""
+    durable = set()
+    epoch = done = None
+    unlocked = False
+    for entry in sim.wpq_entries:
+        if sim.is_ep:
+            if entry.epoch != epoch:
+                unlocked = epoch is None or (done is not None and done + 1 <= cut)
+                epoch = entry.epoch
+                done = sim.epoch_completion.get(epoch)
+            if unlocked and entry.arrival_cycle is not None and entry.arrival_cycle <= cut:
+                durable.add(entry.pid)
+        elif entry.complete_cycle is not None and entry.complete_cycle <= cut:
+            durable.add(entry.pid)
+    return durable
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_durable_cycle_matches_the_epoch_walk(scheme):
+    for case in cases(scheme):
+        sim = case_simulator(case)
+        last = set()
+
+        def check(cut):
+            nonlocal last
+            want = reference_durable_pids(sim, cut)
+            got = {e.pid for e in sim.wpq_entries if e.durable_cycle is not None and e.durable_cycle <= cut}
+            assert got == want, (case, cut)
+            if want != last:
+                # the youngest durable writer of each block is what crash() keeps
+                image = {sim.wpq_entries[pid].addr.value: sim.wpq_entries[pid].ciphertext for pid in sorted(want)}
+                assert crash(sim, CrashPlan("at-cycle", cycle=cut)).data == image, (case, cut)
+                last = want
+
+        while sim.events:
+            cycle, _kind, _seq, handler, payload = sim.events.pop()
+            if cycle > sim.clock:
+                check(sim.clock)  # every event of that cycle has fired
+            sim.clock = cycle
+            handler(payload)
+        check(sim.clock)
+        for entry in sim.wpq_entries:
+            if sim.is_ep:
+                assert entry.durable_cycle == max(entry.arrival_cycle, sim.unlock_cycle(entry.epoch))
+            else:
+                assert entry.durable_cycle == entry.complete_cycle
+            assert entry.drained_cycle >= entry.durable_cycle

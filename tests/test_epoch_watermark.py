@@ -4,7 +4,8 @@
 at cycles that never decrease.  The reference function below scans every
 epoch seen so far and needs no such invariant; the two must agree at every
 event of a run.  The epoch table itself is checked against the WPQ entries
-at every event too.
+at every event too, and so is the rule the ooo walk enforces: an update in
+flight sits strictly deeper than every level an older epoch occupies.
 """
 
 import gc
@@ -13,7 +14,7 @@ import weakref
 
 import pytest
 
-from nvmsim import SCHEMES, SimParams, Simulator, parse, run_until_idle
+from nvmsim import SCHEMES, LatencyConfig, SimParams, Simulator, parse, run_until_idle
 
 from conftest import page_addr, trace_text
 
@@ -89,6 +90,45 @@ def test_watermark_matches_full_scan_at_every_event(scheme):
         assert list(sim.epoch_completion) == list(sim.epoch_members)
         cycles = [sim.epoch_completion[e] for e in sorted(sim.epoch_completion)]
         assert cycles == sorted(cycles)
+
+
+def occupied_levels(sim):
+    """``(epoch, level, in flight)`` of each unpersisted persist: the level of
+    its update in flight, or of the next update its plan still holds."""
+    out = []
+    for entry in sim.ptt_order:
+        if entry.persisted:
+            continue
+        if entry.inflight:
+            out.append((entry.epoch, entry.levels - entry.next_idx + 1, True))
+        elif entry.next_idx <= entry.last_plan_idx:
+            out.append((entry.epoch, entry.levels - entry.next_idx, False))
+    return out
+
+
+def epoch_order_violations(sim):
+    """In-flight updates that are not strictly deeper than a level an older
+    epoch occupies, as ``(younger level, older level)`` pairs."""
+    held = occupied_levels(sim)
+    return [(level, older_level)
+            for epoch, level, inflight in held if inflight
+            for older_epoch, older_level, _ in held
+            if older_epoch < epoch and level <= older_level]
+
+
+@pytest.mark.parametrize("scheme", ["ooo", "coalesce"])
+def test_younger_updates_stay_below_older_epochs_at_every_event(scheme):
+    rng = random.Random(7 if scheme == "ooo" else 8)
+    latencies = (LatencyConfig(), LatencyConfig(mac_latency=0, cache_hit=0))
+    for trial in range(24):
+        params = SimParams(scheme=scheme, arity=(2, 3, 8)[trial % 3], levels=4,
+                           ideal_caches=trial % 2 == 0, cache_kb=1, ett_capacity=1 + trial % 3,
+                           mac_units=trial % 3, latency=latencies[trial // 12])
+        sim = Simulator(params, parse(ep_trace(rng, 1 + trial % 4)))
+        while sim.events:
+            step(sim)
+            assert not epoch_order_violations(sim), (trial, sim.clock)
+        assert not sim.outstanding_persists()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

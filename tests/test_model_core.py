@@ -146,14 +146,15 @@ class TestGoldenMemory:
         mem = GoldenMemory()
         pid = mem.apply_store(BlockAddr(0x1000), b"\xaa" * 64)
         assert pid == 0
-        assert mem.blocks[0x1000] == b"\xaa" * 64
+        assert mem.log[0].addr.value == 0x1000
+        assert mem.log[0].plaintext == b"\xaa" * 64
 
     def test_last_writer_wins(self):
         mem = GoldenMemory()
         mem.apply_store(BlockAddr(0x1000), b"\x01" * 64)
         mem.apply_store(BlockAddr(0x1000), b"\x02" * 64)
         assert len(mem.log) == 2
-        assert mem.blocks[0x1000] == b"\x02" * 64
+        assert mem.state_at_epoch_end(0)[0x1000] == b"\x02" * 64
 
     def test_misaligned_store_rejected(self):
         mem = GoldenMemory()

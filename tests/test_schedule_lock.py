@@ -93,7 +93,8 @@ def crash_verdicts(sim) -> list:
     return out
 
 
-def outcome(case) -> dict:
+def case_simulator(case) -> Simulator:
+    """A fresh, unstarted simulator for one case."""
     capacity = case["capacity"]
     params = SimParams(
         scheme=case["scheme"],
@@ -109,7 +110,11 @@ def outcome(case) -> dict:
     )
     trace = generate(GenSpec(store_count=60, pages=16, run_length=3,
                              fence_interval=case["fence"], seed=5))
-    sim = Simulator(params, trace)
+    return Simulator(params, trace)
+
+
+def outcome(case) -> dict:
+    sim = case_simulator(case)
     run_until_idle(sim)
     stats = sim.stats_dict()
     return {
