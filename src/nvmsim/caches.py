@@ -61,13 +61,10 @@ class MetadataCache:
 
     def __init__(self, config: CacheConfig, ideal: bool = False) -> None:
         self.config = config
-        self.ideal = ideal
-        # per set: list of keys, most-recent last
-        self._sets: list = [[] for _ in range(config.num_sets)]
+        self._num_sets = config.num_sets
+        # per set: list of keys, most-recent last; an ideal cache keeps none
+        self._sets = None if ideal else [[] for _ in range(self._num_sets)]
         self.stats = CacheStats()
-
-    def _set_for(self, key: int) -> list:
-        return self._sets[key % self.config.num_sets]
 
     def access(self, key: int) -> bool:
         """Look up one block; returns True on hit.
@@ -76,8 +73,8 @@ class MetadataCache:
         fill latency) and the LRU victim of the set is evicted.
         """
         self.stats.accesses += 1
-        if not self.ideal:
-            lines = self._set_for(key)
+        if self._sets is not None:
+            lines = self._sets[key % self._num_sets]
             if key not in lines:
                 self.stats.misses += 1
                 if len(lines) >= self.config.associativity:
@@ -91,8 +88,9 @@ class MetadataCache:
         return True
 
     def contains(self, key: int) -> bool:
-        return key in self._set_for(key)
+        return self._sets is not None and key in self._sets[key % self._num_sets]
 
     def flush_volatile(self) -> None:
         """Crash semantics: all cached metadata is gone. Idempotent."""
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        if self._sets is not None:
+            self._sets = [[] for _ in range(self._num_sets)]

@@ -59,8 +59,7 @@ class DurableSnapshot:
     counters: dict  # page -> SplitCounter snapshot
     macs: dict  # addr value -> tag
     root_register: int
-    expected_plain: dict  # addr -> plaintext the durable image should decode to
-    touched: set  # addrs with any durable per-block component
+    expected_plain: dict  # addr with any durable per-block component -> plaintext it should decode to
     completed_epochs: set
     incomplete_epochs: set
     excluded_addrs: set
@@ -222,7 +221,6 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
         macs=macs,
         root_register=root_register,
         expected_plain=expected_plain,
-        touched=set(expected_plain),
         completed_epochs=completed_epochs,
         incomplete_epochs=incomplete_epochs,
         excluded_addrs=excluded_addrs,
@@ -246,7 +244,7 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
     verdicts: dict = {}
     plaintexts: dict = {}
     recovered: dict = {}
-    for addr in sorted(snapshot.touched):
+    for addr in sorted(snapshot.expected_plain):
         # a block whose new ciphertext never persisted reads as NVMM zeros
         ciphertext = snapshot.data.get(addr, b"\x00" * BLOCK_SIZE)
         page = addr // PAGE_SIZE

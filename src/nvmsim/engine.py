@@ -18,9 +18,15 @@ node update and, under ``sequential``, on every tuple completion:
   order they joined, so the started ones are always a prefix of
   ``ptt_order`` and the first unstarted entry is the next to join.
 * ``ooo``         - epoch persistency: persists of the same epoch climb
-  independently; a level may only be occupied by one epoch at a time
-  (younger epochs stay strictly deeper than any older epoch's deepest
-  straggler), which kills cross-epoch write-after-write hazards.
+  independently, but a younger epoch's update issues only strictly deeper
+  than every level an older live epoch holds (the level of an update in
+  flight or, while a plan lasts, of the next to issue), which kills
+  cross-epoch write-after-write hazards.  One pass over ``waiting``, the
+  persists whose next update has not issued, in pid order, decides it:
+  issuing leaves a persist on the level it held, so each epoch's ``older``
+  bound holds for the pass; no level's last issue is after now, so a kick
+  is due next cycle exactly when an eligible persist did not issue; and at
+  most one update issues per level per cycle, in pid order, up to ``mac_units``.
 * ``coalesce``    - the ooo policy plus paired update coalescing at
   submission: a new persist adopts its predecessor's remaining path at
   their least common ancestor; the leading persist stops below the merge
@@ -36,10 +42,10 @@ epoch with members, oldest first; an epoch's stores are consecutive
 persists, so its members are ``range(first_pid, end_pid)``.  Epochs
 complete strictly in order, at cycles that never decrease, so the watermark
 ``open_idx`` splits the table: ``epochs[:open_idx]`` have completed and
-``epochs[open_idx:]`` is the live epoch tracking table (ETT).  Each
-unpersisted persist occupies the level of its update in flight or next to
-issue, so the ooo walk over ``ptt_order`` (in epoch order) finds the
-deepest level older epochs occupy as it goes.  A WPQ entry survives power
+``epochs[open_idx:]`` is the live epoch tracking table (ETT).  Once the
+next epoch starts, an epoch counts the deepest level its members hold and
+how many hold it, and counts again when the last of them moves up; that
+sets ``older`` of the epochs after it.  A WPQ entry survives power
 loss from its ``durable_cycle``, when it may drain: under SP once its
 tuple completed, under EP once it arrived and its epoch is unlocked.
 """
@@ -47,10 +53,11 @@ tuple completed, under EP once it arrived and its epoch is unlocked.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
 from heapq import heappop, heappush
+from itertools import islice
 from operator import attrgetter
 from typing import Optional
 
@@ -76,6 +83,7 @@ EPOCH_SCHEMES = ("ooo", "coalesce")
 COMPONENTS = ("ciphertext", "counter", "mac")
 
 _EPOCH = attrgetter("epoch")  # bisect key over Simulator.epochs
+_PID = attrgetter("pid")
 
 
 @dataclass(frozen=True)
@@ -188,6 +196,7 @@ class PttEntry:
         "completed_below",
         "obligations",
         "persisted",
+        "ett",
         "__weakref__",
     )
 
@@ -206,6 +215,7 @@ class PttEntry:
         self.completed_below = 0
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
         self.persisted = False
+        self.ett = None  # its epoch's EttEntry (ooo/coalesce)
 
     @property
     def below_done(self) -> bool:
@@ -215,13 +225,15 @@ class PttEntry:
 class EttEntry:
     """One epoch with members: its persists ``range(first_pid, end_pid)``."""
 
-    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete")
+    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "deepest", "at_deepest", "older")
 
     def __init__(self, epoch, first_pid):
         self.epoch = epoch
         self.first_pid = first_pid
         self.end_pid = first_pid
         self.incomplete = 0  # members whose tuple has not completed yet
+        # deepest level its members hold (0: none), how many hold it, and older live epochs' deepest
+        self.deepest = self.at_deepest = self.older = 0
 
 
 class Simulator:
@@ -273,8 +285,10 @@ class Simulator:
         # self._dispatch(self, now), so no bound method refers back to self
         self._dispatch = _POLICIES[params.scheme]
         self.inflight_updates = 0
-        self.node_commit_horizon: dict = {}  # label -> its last commit, while that can delay one
+        self.node_commit_horizon: dict = {}  # label -> its last commit, while an update of it is in flight
+        self._commit_cycle, self._committed_now = -1, set()  # nodes committed in this cycle
         self.level_last_issue: dict = {}
+        self.waiting: list = []  # entries waiting to issue their next update, in pid order (ooo/coalesce)
         self._issue_cycle = -1
         self._issues_this_cycle = 0
 
@@ -389,16 +403,18 @@ class Simulator:
 
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
-        if self.is_ep:
-            if not self.epochs or self.epochs[-1].epoch != epoch:
-                self.epochs.append(EttEntry(epoch, pid))
-            ett = self.epochs[-1]
-            ett.end_pid = pid + 1
-            ett.incomplete += 1
-
         leaf = self.geometry.leaf_for_page(page)
         entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), self.geometry.levels, wpq, ready)
         self.ptt_order.append(entry)
+        if self.is_ep:
+            if not self.epochs or self.epochs[-1].epoch != epoch:
+                self.epochs.append(EttEntry(epoch, pid))
+                if len(self.epochs) > 1:
+                    self._count_deepest(self.epochs[-2])
+            ett = entry.ett = self.epochs[-1]
+            ett.end_pid = pid + 1
+            ett.incomplete += 1
+            self.waiting.append(entry)
 
         if self.scheme == "coalesce" and len(self.ptt_order) > 1:
             # a predecessor that has left ptt_order has persisted, and a
@@ -442,6 +458,8 @@ class Simulator:
 
         prev.last_plan_idx = max(levels - lca_level - 1, 0)
         prev.gate_count = levels - lca_level
+        if not prev.inflight and prev.next_idx > prev.last_plan_idx:  # its plan ends where it waits
+            self.waiting.remove(prev)
         completed = prev.next_idx - (1 if prev.inflight else 0)
         prev.completed_below = min(completed, prev.gate_count)
 
@@ -485,7 +503,8 @@ class Simulator:
             duration = self.latency.cache_fill + 2 * self.latency.mac_latency
         # overlapped updates of one node write back in issue order: a fast
         # later update must not overtake a slow earlier one with stale inputs
-        commit = max(now + duration, self.node_commit_horizon.get(label, -1) + 1)
+        last = now if self._commit_cycle == now and label in self._committed_now else -1
+        commit = max(now + duration, self.node_commit_horizon.get(label, last) + 1)
         self.node_commit_horizon[label] = commit
         payload = (entry, label, level, value, now, commit)
         if hit:
@@ -500,11 +519,15 @@ class Simulator:
         entry, label, level, value, start, _commit = payload
         now = self.clock
         self.bmt.commit_node(label, value)
-        # with no later update of this node in flight, its entry can delay
-        # only a commit that an update issued in this cycle makes in this
-        # cycle, which takes a MAC latency of 0
-        if self.node_commit_horizon[label] == now and self.latency.mac_latency:
+        # with no later update of this node in flight, it can delay only a
+        # commit that an update issued in this cycle makes in this cycle,
+        # which takes a MAC latency of 0: _committed_now keeps those nodes
+        if self.node_commit_horizon[label] == now:
             del self.node_commit_horizon[label]
+            if not self.latency.mac_latency:
+                if self._commit_cycle != now:
+                    self._commit_cycle, self._committed_now = now, set()
+                self._committed_now.add(label)
         self.stats["node_updates"] += 1
         if self.params.event_log:
             self._updates.extend((start, now, entry.pid, level))
@@ -514,6 +537,15 @@ class Simulator:
         idx = entry.next_idx - 1
         if idx < entry.gate_count:
             entry.completed_below += 1
+        ett = entry.ett
+        if ett is not None:
+            # the entry leaves `level` for the next level of its plan, if any
+            if entry.next_idx <= entry.last_plan_idx:
+                insort(self.waiting, entry, key=_PID)
+            if ett.deepest == level:
+                ett.at_deepest -= 1
+                if not ett.at_deepest:
+                    self._count_deepest(ett)
 
         if label == 0:
             self.stats["root_updates"] += 1
@@ -603,43 +635,44 @@ class Simulator:
     # out-of-order / coalescing ----------------------------------------
 
     def _ooo_kick(self, now: int) -> None:
-        units = self.params.mac_units
+        waiting = self.waiting
         levels = self.geometry.levels
-        # ptt_order is in epoch order, so one pass finds `older`, the deepest
-        # level occupied by an epoch older than the entry's own
-        epoch = None
-        older = deepest = 0
-        for entry in self.ptt_order:
-            if entry.epoch != epoch:
-                epoch = entry.epoch
-                older = deepest
-                if older == levels:
-                    break  # no younger update can go deeper than a leaf
-            # an unpersisted persist occupies the level of its update in
-            # flight or, while its plan lasts, of the next one to issue
-            idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
-            if idx > entry.last_plan_idx:
+        units = self.params.mac_units
+        last_issue = self.level_last_issue
+        blocked = False  # an eligible entry does not issue in this cycle
+        for entry in tuple(waiting):
+            # Fact 1: issuing keeps an entry on the level it held, so no `older` moves in a dispatch
+            level = levels - entry.next_idx
+            if level <= entry.ett.older or entry.ready_cycle > now or (entry.obligations and any(
+                    ob_level == level and not leader.below_done for ob_level, leader in entry.obligations)):
                 continue
-            level = levels - idx
-            if level > deepest:
-                deepest = level
-            if entry.inflight or entry.ready_cycle > now or level <= older:
+            # Fact 3: at most one update issues per level per cycle, in pid
+            # order, and the MAC units cap how many issue in a cycle
+            if last_issue.get(level) == now or (
+                    units and self._issue_cycle == now and self._issues_this_cycle >= units):
+                blocked = True
                 continue
-            gated = False
-            for ob_level, leader in entry.obligations:
-                if ob_level == level and not leader.below_done:
-                    gated = True
-                    break
-            if gated:
-                continue
-            # a node's last issue is never after its level's, so this bounds both
-            earliest = self.level_last_issue.get(level, -1) + 1
-            if units > 0 and self._issue_cycle == now and self._issues_this_cycle >= units:
-                earliest = max(earliest, now + 1)
-            if earliest > now:
-                self._schedule_kick(earliest)
-                continue
+            waiting.remove(entry)
             self._issue_update(entry, now)
+        # Fact 2: no level's last issue is after now, so an eligible entry
+        # that did not issue may issue from now + 1
+        if blocked:
+            self._schedule_kick(now + 1)
+
+    def _count_deepest(self, ett: EttEntry) -> None:
+        """Count ``ett``'s deepest held level over its queued members; pass it on to later epochs."""
+        order = self.ptt_order
+        head = order[0].pid if order else ett.end_pid
+        held = []
+        for entry in islice(order, max(ett.first_pid - head, 0), max(ett.end_pid - head, 0)):
+            idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
+            if idx <= entry.last_plan_idx:
+                held.append(entry.levels - idx)
+        ett.deepest = max(held, default=0)
+        ett.at_deepest = held.count(ett.deepest)
+        epochs = self.epochs
+        for i in range(bisect_left(epochs, ett.epoch, self.open_idx, key=_EPOCH) + 1, len(epochs)):
+            epochs[i].older = max(epochs[i - 1].older, epochs[i - 1].deepest)
 
     # ------------------------------------------------------------------
     # WPQ lifecycle
@@ -807,6 +840,16 @@ class Simulator:
 
     def pending_trace_events(self) -> int:
         return len(self.trace) - self.trace_pos
+
+    def dump_tables(self) -> str:
+        """The tracking tables, one line per entry, for a deadlock report."""
+        return "\n".join(
+            [f"ptt pid {e.pid} epoch {e.epoch} next_idx {e.next_idx} inflight {e.inflight} ready_cycle "
+             f"{e.ready_cycle} obligation levels {[lv for lv, _ in e.obligations]}" for e in self.ptt_order]
+            + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} incomplete {t.incomplete} deepest "
+               f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.epochs[self.open_idx:]]
+            + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {self.wpq_occupancy} of "
+               f"{self.params.wpq_capacity} occupied, {len(self.drain_eligible)} in the drain heap"])
 
     @property
     def submit_overhead_cycles(self) -> int:

@@ -80,8 +80,8 @@ class DeadlockError(RuntimeError):
 def run_until_idle(sim) -> dict:
     """Drive a simulator's event queue until nothing is pending.
 
-    Returns the simulator's stats dict.  Raises DeadlockError with a
-    diagnostic when the queue drains while persists are still incomplete.
+    Returns the simulator's stats dict.  Raises DeadlockError with its tracking
+    tables when the queue drains while persists are still incomplete.
     """
     queue = sim.events
     while queue:
@@ -95,7 +95,8 @@ def run_until_idle(sim) -> dict:
     if pending or stalled:
         raise DeadlockError(
             f"simulation idle at cycle {sim.clock} with {len(pending)} persists "
-            f"outstanding ({sorted(pending)[:8]}) and {stalled} trace events unsubmitted"
+            f"outstanding ({sorted(pending)[:8]}) and {stalled} trace events unsubmitted\n"
+            + sim.dump_tables()
         )
     return sim.stats_dict()
 

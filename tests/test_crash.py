@@ -191,7 +191,6 @@ def test_adversarial_root_reorder_detected():
         macs={rec1.addr.value: entry1.mac},
         root_register=good.root_register,
         expected_plain={rec1.addr.value: rec1.plaintext},
-        touched={rec1.addr.value},
         completed_epochs=set(),
         incomplete_epochs=set(),
         excluded_addrs=set(),

@@ -127,3 +127,19 @@ def test_deadlock_detector_fires_on_orphan():
     sim.wpq_entries[0].complete_cycle = None  # fake a stuck tuple
     with pytest.raises(DeadlockError):
         run_until_idle(sim)
+
+
+def test_deadlock_report_dumps_the_tables():
+    # a persist lost from the ready set never issues again; the report
+    # names it in the PTT dump, next to the ETT, ready set and WPQ
+    sim = Simulator(SimParams(scheme="ooo", levels=4, ideal_caches=True), parse("S 0x0\nS 0x1000\n"))
+    while not sim.waiting:
+        cycle, _kind, _seq, handler, payload = sim.events.pop()
+        sim.clock = cycle
+        handler(payload)
+    stuck = sim.waiting.pop(0)
+    with pytest.raises(DeadlockError) as info:
+        run_until_idle(sim)
+    report = str(info.value)
+    assert f"ptt pid {stuck.pid} epoch 0 next_idx 0 inflight False" in report
+    assert "ett epoch 0" in report and "waiting pids" in report and "drain heap" in report

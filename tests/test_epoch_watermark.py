@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from nvmsim import SCHEMES, LatencyConfig, SimParams, Simulator, parse, run_until_idle
+from nvmsim import SCHEMES, GenSpec, LatencyConfig, SimParams, Simulator, generate, parse, run_until_idle
 
 from conftest import page_addr, trace_text
 
@@ -157,3 +157,12 @@ def test_tracking_state_is_freed_after_persist(scheme):
         assert finished() is None
     finally:
         gc.enable()
+
+
+def test_commit_horizon_is_pruned_with_a_zero_mac_latency():
+    # with a MAC latency of 0 a node can commit and issue again in one cycle,
+    # which the horizon must still order, on a tree footprint of 4,096 stores
+    trace = generate(GenSpec(store_count=4096, pages=16384, run_length=8, fence_interval=32, seed=0))
+    sim = Simulator(SimParams(scheme="sequential", latency=LatencyConfig(mac_latency=0)), trace)
+    run_until_idle(sim)
+    assert all(cycle >= sim.clock for cycle in sim.node_commit_horizon.values())
