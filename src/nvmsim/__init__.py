@@ -18,7 +18,7 @@ from .model_core import (
     SplitCounter,
 )
 from .crypto import KeySet, decrypt, encrypt, hash_node, mac_tag, verify_mac
-from .bmt import BmtGeometry, BmtState, IntegrityFailure, rebuild_from_counters
+from .bmt import BmtGeometry, BmtState, rebuild_from_counters
 from .caches import CacheConfig, MetadataCache
 from .trace import Fence, GenSpec, Store, TraceParseError, generate, parse, render
 from .timing import DeadlockError, EventQueue, LatencyConfig, run_until_idle, throughput_probe
@@ -40,7 +40,6 @@ __all__ = [
     "Fence",
     "GenSpec",
     "GoldenMemory",
-    "IntegrityFailure",
     "KeySet",
     "LatencyConfig",
     "MetadataCache",

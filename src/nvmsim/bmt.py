@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .crypto import KeySet, hash_node
 from .model_core import SplitCounter
@@ -75,9 +75,6 @@ class BmtGeometry:
             raise ValueError(f"page {page} outside protected capacity ({self.leaf_count} pages)")
         return self.first_leaf + page
 
-    def page_for_leaf(self, leaf: int) -> int:
-        return leaf - self.first_leaf
-
     def update_path(self, leaf_label: int) -> list:
         """Labels from the leaf to the root, inclusive; length == levels."""
         if not self.is_leaf(leaf_label):
@@ -97,47 +94,23 @@ class BmtGeometry:
             raise ValueError(f"level out of range: {level}")
         return self._level_starts[level - 1] + page // self.arity ** (self.levels - level)
 
-    def lca(self, leaf_a: int, leaf_b: int) -> int:
-        """Deepest common node of the two leaves' update paths."""
-        path_a = self.update_path(leaf_a)
-        path_b = self.update_path(leaf_b)
-        lca = 0
-        for a, b in zip(reversed(path_a), reversed(path_b)):
-            if a != b:
-                break
-            lca = a
-        return lca
-
-
-@dataclass
-class IntegrityFailure:
-    """First point where a hash path disagrees with stored state."""
-
-    level: int
-    label: int
-    detail: str = ""
+    def merge_level(self, path_a: list, path_b: list) -> int:
+        """Level of the deepest node two update paths (leaf first) share."""
+        idx = 0
+        while path_a[idx] != path_b[idx]:  # both end at the root
+            idx += 1
+        return self.levels - idx
 
 
 _ZERO_COUNTER_BLOCK = SplitCounter().to_block_bytes()
 
 
 class BmtState:
-    """Sparse node values plus the always-persistent root register.
+    """Sparse node values plus the always-persistent root register."""
 
-    ``counter_lookup`` maps a page number to its current SplitCounter (or
-    None for never-written pages); it backs leaf recomputation when no
-    explicit counter block is supplied.
-    """
-
-    def __init__(
-        self,
-        geometry: BmtGeometry,
-        keys: KeySet,
-        counter_lookup: Optional[Callable[[int], Optional[SplitCounter]]] = None,
-    ) -> None:
+    def __init__(self, geometry: BmtGeometry, keys: KeySet) -> None:
         self.geometry = geometry
         self.keys = keys
-        self.counter_lookup = counter_lookup
         self.values: dict = {}
         # one little-endian 8-byte tag (crypto.TAG_BYTES) per child
         self._pack_tags = struct.Struct(f"<{geometry.arity}Q").pack
@@ -160,16 +133,14 @@ class BmtState:
         return self.default_value(self.geometry.level_of(label))
 
     def compute_node(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
-        """Recompute a node's value from its current children (or counter block).
+        """Recompute a node's value from its current children, or a leaf's
+        from ``counter_block``, which the caller passes for every leaf.
 
         Reads happen here, at issue time; committing the value is separate
         so overlapped updates observe pre-update children.
         """
         if self.geometry.is_leaf(label):
-            if counter_block is None and self.counter_lookup is not None:
-                counter_block = self.counter_lookup(self.geometry.page_for_leaf(label))
-            block = counter_block.to_block_bytes() if counter_block else _ZERO_COUNTER_BLOCK
-            return hash_node(block, self.keys)
+            return hash_node(counter_block.to_block_bytes(), self.keys)
         default = self.default_value(self.geometry.level_of(label) + 1)
         tags = map(self.values.get, self.geometry.children(label), repeat(default))
         return hash_node(self._pack_tags(*tags), self.keys)
@@ -185,32 +156,6 @@ class BmtState:
     def root(self) -> int:
         return self.node_value(0)
 
-    def update_root_register(self) -> int:
-        self.root_register = self.node_value(0)
-        return self.root_register
-
-    def verify_path(self, leaf_label: int) -> Optional[IntegrityFailure]:
-        """Re-hash from one leaf to the root and compare against stored state.
-
-        Returns None when everything matches (including the root register),
-        otherwise the first mismatching level walking leaf to root.
-        """
-        geometry = self.geometry
-        recomputed = self.compute_node(leaf_label)
-        if recomputed != self.node_value(leaf_label):
-            return IntegrityFailure(geometry.levels, leaf_label, "leaf hash mismatch")
-        node = leaf_label
-        level = geometry.levels
-        while node > 0:
-            node = geometry.parent(node)
-            level -= 1
-            recomputed = self.compute_node(node)
-            if recomputed != self.node_value(node):
-                return IntegrityFailure(level, node, "interior hash mismatch")
-        if self.node_value(0) != self.root_register:
-            return IntegrityFailure(1, 0, "root register mismatch")
-        return None
-
 
 def rebuild_from_counters(
     counters: Mapping[int, SplitCounter], geometry: BmtGeometry, keys: KeySet
@@ -221,7 +166,7 @@ def rebuild_from_counters(
     post-crash verifier recomputes them from whatever counters survived and
     compares the resulting root against the root register.
     """
-    state = BmtState(geometry, keys, counter_lookup=lambda page: counters.get(page))
+    state = BmtState(geometry, keys)
     frontier = set()
     for page in sorted(counters):
         leaf = geometry.leaf_for_page(page)

@@ -169,13 +169,19 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
         # the cut is the target's completion; when that falls inside its epoch,
         # the epoch's other root effects fail the tree check on their own
         exact = not sim.is_ep or sim.epoch_completion.get(target.epoch) == target.complete_cycle
+        # the target's root write can repeat a register value another persist
+        # of its epoch already wrote; dropping it then leaves nothing to detect
+        register = crash(sim, CrashPlan("after-persist", persist_id=target.pid)).root_register
         matrix = {}
         for comp, want in expected.items():
-            plan = CrashPlan("tuple-omission", persist_id=target.pid, component=comp)
-            report = recover(crash(sim, plan), sim.keys, sim.geometry)
-            got = report.verdict_set(target.addr.value)
+            snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=target.pid, component=comp))
+            row = {}
+            if comp == "root":
+                row["root_register_changed"] = snapshot.root_register != register
+                want = want if row["root_register_changed"] else set()
+            got = recover(snapshot, sim.keys, sim.geometry).verdict_set(target.addr.value)
             match = got == want if exact else want <= got
-            matrix[comp] = {
+            matrix[comp] = row | {
                 "expected": sorted(want),
                 "got": sorted(got),
                 "comparison": "exact" if exact else "contains",

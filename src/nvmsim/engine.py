@@ -29,8 +29,11 @@ node update and, under ``sequential``, on every tuple completion:
   most one update issues per level per cycle, in pid order, up to ``mac_units``.
 * ``coalesce``    - the ooo policy plus paired update coalescing at
   submission: a new persist adopts its predecessor's remaining path at
-  their least common ancestor; the leading persist stops below the merge
-  point and the trailing one carries the update from there to the root.
+  their least common ancestor, found on the two update paths the entries
+  hold; the leading persist stops below the merge point and the trailing
+  one carries the update from there to the root.  The trailer's update at
+  the merge level waits until the leader's plan below it has committed,
+  which the leader's ``next_idx`` and ``inflight`` show.
 
 Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
@@ -157,14 +160,6 @@ class WpqEntry:
         self.durable_cycle = None  # queued to drain: survives power loss from here on
 
     @property
-    def state(self) -> str:
-        if self.drained_cycle is not None:
-            return "drained"
-        if self.complete_cycle is not None:
-            return "complete"
-        return "locked-incomplete"
-
-    @property
     def counter(self) -> tuple:
         """This block's effective (major, minor) counter in the snapshot."""
         return self.counter_block.effective(self.addr.block_in_page)
@@ -174,9 +169,6 @@ class WpqEntry:
         """Arrival cycle of each component (read-only view)."""
         return {} if self.arrival_cycle is None else dict.fromkeys(COMPONENTS, self.arrival_cycle)
 
-    def all_arrived(self) -> bool:
-        return self.arrival_cycle is not None
-
 
 class PttEntry:
     """Persist tracking table entry: one persist's walk up the tree."""
@@ -184,7 +176,6 @@ class PttEntry:
     __slots__ = (
         "pid",
         "epoch",
-        "leaf",
         "path",
         "levels",
         "wpq",
@@ -193,18 +184,16 @@ class PttEntry:
         "inflight",
         "last_plan_idx",
         "gate_count",
-        "completed_below",
         "obligations",
         "persisted",
         "ett",
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, leaf, path, levels, wpq, ready_cycle):
+    def __init__(self, pid, epoch, path, levels, wpq, ready_cycle):
         self.pid = pid
         self.epoch = epoch
-        self.leaf = leaf
-        self.path = path
+        self.path = path  # update path, leaf first
         self.levels = levels
         self.wpq = wpq
         self.ready_cycle = ready_cycle
@@ -212,14 +201,15 @@ class PttEntry:
         self.inflight = False
         self.last_plan_idx = levels - 1
         self.gate_count = levels  # plan nodes below the merge point; < levels once it leads a pair
-        self.completed_below = 0
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
         self.persisted = False
         self.ett = None  # its epoch's EttEntry (ooo/coalesce)
 
     @property
     def below_done(self) -> bool:
-        return self.completed_below >= self.gate_count
+        """Every update of its plan below the merge point has committed: the
+        plan issues in path order, so ``next_idx - inflight`` have."""
+        return self.next_idx - self.inflight >= self.gate_count
 
 
 class EttEntry:
@@ -251,7 +241,7 @@ class Simulator:
         self.events = EventQueue()
         self.golden = GoldenMemory()
         self.counters: dict = {}
-        self.bmt = BmtState(self.geometry, self.keys, counter_lookup=self.counters.get)
+        self.bmt = BmtState(self.geometry, self.keys)
 
         kb = params.cache_kb * 1024
         self.counter_cache = MetadataCache(
@@ -403,8 +393,8 @@ class Simulator:
 
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
-        leaf = self.geometry.leaf_for_page(page)
-        entry = PttEntry(pid, epoch, leaf, self.geometry.update_path(leaf), self.geometry.levels, wpq, ready)
+        path = self.geometry.update_path(self.geometry.leaf_for_page(page))
+        entry = PttEntry(pid, epoch, path, self.geometry.levels, wpq, ready)
         self.ptt_order.append(entry)
         if self.is_ep:
             if not self.epochs or self.epochs[-1].epoch != epoch:
@@ -431,37 +421,37 @@ class Simulator:
     # coalescing
     # ------------------------------------------------------------------
 
-    def coalesce_pair(self, new_entry: PttEntry, prev: Optional[PttEntry]) -> Optional[int]:
+    def coalesce_pair(self, new_entry: PttEntry, prev: PttEntry) -> None:
         """Pair a new persist with its predecessor at their LCA if legal.
 
-        The predecessor becomes the leading persist: its walk stops below
-        the LCA (it always keeps at least its own leaf update, which has
-        usually already issued) and the new, trailing persist carries the
-        shared path from the LCA to the root.  Returns the LCA label when
-        a pair formed, else None.
+        The predecessor becomes the leading persist: its plan stops below
+        the merge level, the level of the LCA of the two held update paths
+        (it always keeps at least its own leaf update, which has usually
+        already issued), and the new, trailing persist carries the shared
+        path from the LCA to the root.  The leader's ``gate_count`` is then
+        the number of plan nodes below the merge level; the trailer's
+        update at that level waits until ``below_done`` says they all
+        committed, and its commit persists the leader.
         """
-        if prev is None or prev.epoch != new_entry.epoch:
-            return None
+        if prev.epoch != new_entry.epoch:
+            return
         if prev.gate_count < prev.levels or prev.persisted:  # it leads a pair or has persisted
-            return None
+            return
         levels = self.geometry.levels
-        lca_label = self.geometry.lca(prev.leaf, new_entry.leaf)
-        lca_level = self.geometry.level_of(lca_label)
+        lca_level = self.geometry.merge_level(prev.path, new_entry.path)
         if prev.next_idx > 0:
             shallowest_issued = levels - (prev.next_idx - 1)
             # the leading persist must not have gone past the merge point;
             # an already-issued leaf is fine when the merge point is the leaf
             if shallowest_issued < lca_level:
-                return None
+                return
             if shallowest_issued == lca_level and lca_level != levels:
-                return None
+                return
 
         prev.last_plan_idx = max(levels - lca_level - 1, 0)
         prev.gate_count = levels - lca_level
         if not prev.inflight and prev.next_idx > prev.last_plan_idx:  # its plan ends where it waits
             self.waiting.remove(prev)
-        completed = prev.next_idx - (1 if prev.inflight else 0)
-        prev.completed_below = min(completed, prev.gate_count)
 
         new_entry.obligations.append((lca_level, prev))
         keep = []
@@ -472,7 +462,6 @@ class Simulator:
                 keep.append((ob_level, leader))
         prev.obligations = keep
         self.stats["coalesce_pairs"] += 1
-        return lca_label
 
     # ------------------------------------------------------------------
     # node updates
@@ -534,9 +523,6 @@ class Simulator:
 
         entry.inflight = False
         self.inflight_updates -= 1
-        idx = entry.next_idx - 1
-        if idx < entry.gate_count:
-            entry.completed_below += 1
         ett = entry.ett
         if ett is not None:
             # the entry leaves `level` for the next level of its plan, if any
@@ -688,7 +674,7 @@ class Simulator:
     def _check_complete(self, wpq: WpqEntry, now: int) -> None:
         if wpq.complete_cycle is not None:
             return
-        if not wpq.all_arrived() or wpq.root_done_cycle is None:
+        if wpq.arrival_cycle is None or wpq.root_done_cycle is None:
             return
         wpq.complete_cycle = now
         self.stats["persists_completed"] += 1
@@ -756,7 +742,7 @@ class Simulator:
         if wpq.durable_cycle is not None:
             return
         if self.is_ep:
-            if not wpq.all_arrived():
+            if wpq.arrival_cycle is None:
                 return
             unlock = self.unlock_cycle(wpq.epoch)
             if unlock is None or unlock > now:
@@ -788,19 +774,9 @@ class Simulator:
         self._wake_submit(now)
         self._schedule_drain(now)
 
-    def drain_complete(self) -> set:
-        """Persist ids already released to NVMM."""
-        return {e.pid for e in self.wpq_entries if e.drained_cycle is not None}
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def submit_persist(self, store: Store) -> int:
-        """Directly lodge one store (test surface; trace-driven runs use events)."""
-        epoch = self.current_epoch
-        self._submit_store(store, epoch, self.clock)
-        return self.stats["persists_submitted"] - 1
 
     def iter_update_log(self):
         """Each node update as ``(start, end, pid, epoch, label, level)``,

@@ -69,9 +69,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
 
 class DeadlockError(RuntimeError):
     """No event can fire but persists remain outstanding."""
@@ -84,7 +81,10 @@ def run_until_idle(sim) -> dict:
     tables when the queue drains while persists are still incomplete.
     """
     queue = sim.events
-    while queue:
+    # test the heap list itself: a Python-level truth test per event would
+    # cost more than most handlers; pop stays a method, which tracers wrap
+    heap = queue._heap
+    while heap:
         cycle, kind, _seq, handler, payload = queue.pop()
         if cycle < sim.clock:
             raise AssertionError(f"{KIND_NAMES[kind]} event scheduled in the past: cycle {cycle}")

@@ -42,16 +42,16 @@ class TestGeometry:
             G4.update_path(9)
 
     def test_lca_identical_leaves(self):
-        assert G4.lca(100, 100) == 100
+        assert _merge_level(100, 100) == G4.levels
 
     def test_lca_siblings(self):
-        assert G4.lca(73, 74) == 9
+        assert _merge_level(73, 74) == G4.level_of(9)
 
     def test_lca_disjoint_subtrees_is_root(self):
         # leaves under different level-2 children intersect only at the root
         a = G4.leaf_for_page(0)
         b = G4.leaf_for_page(G4.arity ** 2)  # first leaf of the second level-2 subtree
-        assert G4.lca(a, b) == 0
+        assert _merge_level(a, b) == 1
 
     def test_default_geometry(self):
         g = BmtGeometry()
@@ -65,36 +65,42 @@ class TestGeometry:
     @settings(max_examples=300)
     def test_lca_matches_bruteforce(self, pa, pb):
         a, b = G4.leaf_for_page(pa), G4.leaf_for_page(pb)
-        got = G4.lca(a, b)
-        assert got == lca_bruteforce(a, b, G4)
-        assert got == G4.lca(b, a)
-        assert G4.level_of(got) >= 1
+        level = _merge_level(a, b)
+        assert G4.update_path(a)[G4.levels - level] == lca_bruteforce(a, b, G4)
+        assert level == _merge_level(b, a)
+        assert level >= 1
 
 
-def _make_state(counters):
-    return BmtState(G4, KEYS, counter_lookup=counters.get)
+def _merge_level(leaf_a, leaf_b):
+    return G4.merge_level(G4.update_path(leaf_a), G4.update_path(leaf_b))
+
+
+def _update_page(state, counters, page, geometry=G4):
+    """Recompute ``page``'s update path, its leaf from its counter block."""
+    leaf, *above = geometry.update_path(geometry.leaf_for_page(page))
+    state.apply_node_update(leaf, counters[page])
+    for label in above:
+        state.apply_node_update(label)
 
 
 class TestStateUpdates:
     def test_incremental_equals_full_recompute(self):
         counters = {}
-        state = _make_state(counters)
+        state = BmtState(G4, KEYS)
         rng = random.Random(0)
         for _ in range(40):
             page = rng.randrange(G4.leaf_count)
             block = rng.randrange(64)
             counters[page] = counters.get(page, SplitCounter()).bump(block)
-            for label in G4.update_path(G4.leaf_for_page(page)):
-                state.apply_node_update(label)
-            state.update_root_register()
+            _update_page(state, counters, page)
             assert state.root() == full_root(counters, G4, KEYS)
 
     def test_idempotent_update(self):
         counters = {3: SplitCounter().bump(1)}
-        state = _make_state(counters)
+        state = BmtState(G4, KEYS)
         leaf = G4.leaf_for_page(3)
-        v1 = state.apply_node_update(leaf)
-        v2 = state.apply_node_update(leaf)
+        v1 = state.apply_node_update(leaf, counters[3])
+        v2 = state.apply_node_update(leaf, counters[3])
         assert v1 == v2
 
     def test_two_bumps_under_one_lca_commute(self):
@@ -102,10 +108,9 @@ class TestStateUpdates:
         base = {0: SplitCounter().bump(0), 1: SplitCounter().bump(5)}
         values = []
         for order in ((0, 1), (1, 0)):
-            state = _make_state(base)
+            state = BmtState(G4, KEYS)
             for page in order:
-                for label in G4.update_path(G4.leaf_for_page(page)):
-                    state.apply_node_update(label)
+                _update_page(state, base, page)
             values.append(state.node_value(9))  # shared parent of leaves 73, 74
         assert values[0] == values[1]
 
@@ -123,44 +128,11 @@ class TestStateUpdates:
             for _ in range(50):
                 order = distinct[:]
                 rng.shuffle(order)
-                state = BmtState(g3, KEYS, counter_lookup=counters.get)
+                state = BmtState(g3, KEYS)
                 for page in order:
-                    for label in g3.update_path(g3.leaf_for_page(page)):
-                        state.apply_node_update(label)
+                    _update_page(state, counters, page, g3)
                 roots.add(state.root())
             assert len(roots) == 1
-
-
-class TestVerifyPath:
-    def _fresh(self):
-        counters = {5: SplitCounter().bump(2), 6: SplitCounter().bump(3)}
-        state = _make_state(counters)
-        for page in counters:
-            for label in G4.update_path(G4.leaf_for_page(page)):
-                state.apply_node_update(label)
-        state.update_root_register()
-        return counters, state
-
-    def test_untampered_ok(self):
-        _, state = self._fresh()
-        assert state.verify_path(G4.leaf_for_page(5)) is None
-
-    def test_counter_tamper_detected_at_leaf(self):
-        counters, state = self._fresh()
-        counters[5] = counters[5].bump(9)  # tamper without recomputing the tree
-        failure = state.verify_path(G4.leaf_for_page(5))
-        assert failure is not None
-        assert failure.level == G4.levels
-
-    def test_counter_persisted_without_root_update(self):
-        counters, state = self._fresh()
-        counters[7] = SplitCounter().bump(0)
-        for label in G4.update_path(G4.leaf_for_page(7)):
-            state.apply_node_update(label)
-        # root register was not advanced: the recovery-visible mismatch
-        failure = state.verify_path(G4.leaf_for_page(7))
-        assert failure is not None
-        assert failure.level == 1
 
 
 class TestRebuild:

@@ -116,6 +116,7 @@ def test_crash_sweep_omission_matrix(capsys):
     result = json.loads(out)
     assert all(row["match"] for row in result["omission_matrix"].values())
     assert {row["comparison"] for row in result["omission_matrix"].values()} == {"exact"}
+    assert result["omission_matrix"]["root"]["root_register_changed"] is True
 
 
 def test_crash_sweep_zero_points_usage_error(capsys):
@@ -296,6 +297,17 @@ def test_omission_matrix_cut_inside_the_epoch_needs_only_contain_the_row(capsys)
     assert {row["comparison"] for row in rows.values()} == {"contains"}
     assert all(row["match"] for row in rows.values())
     assert any(row["got"] != row["expected"] for row in rows.values())
+
+
+def test_omission_root_row_expects_no_failure_when_the_register_is_unchanged(capsys):
+    # default settings: another persist of the last persist's epoch carries
+    # its change to the root first, so its own root write repeats the
+    # register value and dropping it is undetectable
+    code, out, _ = run_cli(capsys, "crash-sweep", "--omission-matrix", "--scheme", "ooo", "--seed", "0")
+    assert code == EXIT_OK
+    root = json.loads(out)["omission_matrix"]["root"]
+    assert root["root_register_changed"] is False
+    assert root["expected"] == root["got"] == [] and root["match"]
 
 
 def test_run_config_fields_are_derived_from_their_sources():

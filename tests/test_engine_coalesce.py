@@ -1,10 +1,12 @@
 import random
 
-from nvmsim import SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
+from nvmsim import LatencyConfig, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
 from nvmsim.bmt import BmtGeometry
 
-from conftest import page_addr, run_sim, trace_text
+from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import dedup_update_count
+from test_epoch_watermark import step
+from test_schedule_lock import case_simulator, cases
 
 G4 = BmtGeometry(arity=8, levels=4)
 
@@ -126,3 +128,42 @@ def test_chain_delegation_three_same_page():
     assert sim.stats["node_updates"] == sim.geometry.levels + 2
     assert sim.stats["root_updates"] == 1
     assert sim.stats["coalesce_pairs"] == 2
+
+
+def below_done_runs():
+    """Fresh coalesce simulators: every schedule-lock case, then seeded
+    random shapes over arity, depth, capacities, caches, MAC units and fences."""
+    yield from (case_simulator(case) for case in cases("coalesce"))
+    rng = random.Random(31)
+    latencies = (LatencyConfig(), LatencyConfig(mac_latency=0, cache_hit=0), LatencyConfig(mac_latency=10))
+    for _ in range(24):
+        params = SimParams(scheme="coalesce", arity=rng.choice((2, 3, 8)), levels=rng.choice((3, 4, 5)),
+                           ptt_capacity=rng.choice((1, 2, 8, 64)), ett_capacity=rng.choice((1, 2, 3)),
+                           ideal_caches=rng.random() < 0.5, cache_kb=1, mac_units=rng.randrange(3),
+                           latency=rng.choice(latencies))
+        pages = rng.randrange(1, min(9, params.geometry().leaf_count + 1))
+        text = random_trace_text(rng, rng.randrange(8, 48), pages, rng.choice((0, 2, 5)))
+        yield Simulator(params, parse(text))
+
+
+def test_below_done_matches_the_update_log_at_every_event():
+    # below_done is read from next_idx and inflight; the reference counts the
+    # entry's committed updates in the log that lie deeper than its merge level
+    seen = set()
+    for sim in below_done_runs():
+        committed = {}  # pid -> levels of its committed updates
+        read = 0
+        while sim.events:
+            step(sim)
+            records = sim._updates  # (start, end, pid, level) per commit
+            for i in range(read, len(records), 4):
+                committed.setdefault(records[i + 2], []).append(records[i + 3])
+            read = len(records)
+            for entry in sim.ptt_order:
+                merge_level = entry.levels - entry.gate_count
+                below = sum(level > merge_level for level in committed.get(entry.pid, ()))
+                assert entry.below_done == (below >= entry.gate_count), (sim.params, sim.clock, entry.pid)
+                if entry.gate_count < entry.levels:  # it leads a pair
+                    seen.add(entry.below_done)
+        assert not sim.outstanding_persists()
+    assert seen == {False, True}

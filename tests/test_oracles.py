@@ -21,11 +21,13 @@ def test_zero_counter_root_pinned():
 def test_full_root_matches_incremental_state():
     rng = random.Random(11)
     counters = {}
-    state = BmtState(G4, KEYS, counter_lookup=counters.get)
+    state = BmtState(G4, KEYS)
     for _ in range(30):
         page = rng.randrange(G4.leaf_count)
         counters[page] = counters.get(page, SplitCounter()).bump(rng.randrange(64))
-        for label in G4.update_path(G4.leaf_for_page(page)):
+        leaf, *above = G4.update_path(G4.leaf_for_page(page))
+        state.apply_node_update(leaf, counters[page])
+        for label in above:
             state.apply_node_update(label)
     assert state.root() == full_root(counters, G4, KEYS)
 
@@ -43,7 +45,8 @@ def test_lca_bruteforce_agrees_over_sampled_pairs():
     for _ in range(100_000):
         a = G4.leaf_for_page(rng.randrange(G4.leaf_count))
         b = G4.leaf_for_page(rng.randrange(G4.leaf_count))
-        assert lca_bruteforce(a, b, G4) == G4.lca(a, b)
+        path_a, path_b = G4.update_path(a), G4.update_path(b)
+        assert lca_bruteforce(a, b, G4) == path_a[G4.levels - G4.merge_level(path_a, path_b)]
     leaf = G4.leaf_for_page(17)
     assert lca_bruteforce(leaf, leaf, G4) == leaf
     a, b = G4.leaf_for_page(2), G4.leaf_for_page(500)
