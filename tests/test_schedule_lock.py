@@ -11,7 +11,11 @@ plus a MAC latency of 0, under which a node update that hits the cache
 commits in the cycle it issues, so a node can be re-issued in the cycle
 its last update committed, and, under the epoch schemes, an ETT of 2 or
 3 epochs that binds behind a 64-entry WPQ and PTT, with fences every
-store or every fifth store and two shared MAC units.
+store or every fifth store and two shared MAC units.  The drain path has
+its own cases: a WPQ that drains every cycle, fed by tuples that arrive
+with no enqueue delay or 3 cycles after a cache hit, so that under the
+epoch schemes the tuple arrivals, not the tree climbs, decide when
+epochs complete.
 Stall cycles are not pinned, so their accounting may change on its own.
 
 Re-pin after an intended change of simulated behaviour with
@@ -55,14 +59,21 @@ GRID = {
 LATENCIES = {
     "mac0": LatencyConfig(mac_latency=0, cache_hit=0),
     "zero": LatencyConfig(mac_latency=0, cache_hit=0, cache_fill=0),
+    "enq0": LatencyConfig(mac_latency=0, cache_hit=0, wpq_enqueue=0, drain_interval=1),
+    "enq3": LatencyConfig(mac_latency=0, cache_hit=2, cache_fill=0, wpq_enqueue=3, drain_interval=1),
 }
 
 
 def cases(scheme):
     for values in itertools.product(*GRID.values()):
         yield dict(zip(GRID, values), scheme=scheme)
-    for latency, arity, cache_kb in itertools.product(LATENCIES, (2, 8), (0, 1)):
+    for latency, arity, cache_kb in itertools.product(("mac0", "zero"), (2, 8), (0, 1)):
         yield dict(arity=arity, capacity=64, cache_kb=cache_kb, mac_units=0, fence=5,
+                   scheme=scheme, latency=latency)
+    # the drain path: a WPQ that drains every cycle, and tuples that arrive
+    # with no enqueue delay or after a tree climb at a MAC latency of 0
+    for latency, arity, cache_kb, fence in itertools.product(("enq0", "enq3"), (2, 8), (0, 1), (1, 5)):
+        yield dict(arity=arity, capacity=64, cache_kb=cache_kb, mac_units=0, fence=fence,
                    scheme=scheme, latency=latency)
     if scheme not in EPOCH_SCHEMES:
         return
