@@ -21,7 +21,7 @@ from typing import Optional
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
 from .engine import SCHEMES, SimParams, Simulator
 from .timing import DeadlockError, LatencyConfig, run_until_idle
-from .trace import GenSpec, TraceParseError, generate, read_trace, refence, render, stores_in
+from .trace import GenSpec, TraceParseError, generate, read_text, read_trace, refence, render, stores_in
 
 ENV_PREFIX = "NVMSIM_"
 
@@ -302,10 +302,11 @@ def _config_from_file(path: str) -> dict:
     """The file's values, coerced, by field name."""
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path):
-            raise UsageError(f"cannot read config file {path}")
+        cp.read_string(read_text(path), source=path)
         items = [item for section in cp.sections() for item in cp.items(section)]
-    except configparser.Error as exc:
+    except OSError:
+        raise UsageError(f"cannot read config file {path}") from None
+    except (TraceParseError, configparser.Error) as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
     out = {}
     for key, raw in items:

@@ -6,16 +6,18 @@ write-pending-queue entries the engine had let drain by then (by their
 ``durable_cycle``), plus the root register.  ``recover``
 then replays what a real controller could do after power loss - rebuild
 the integrity tree from durable counters, check every MAC, decrypt - and
-reports per-block verdicts.  ``check_prefix_consistency`` is the
-recovery observer: under strict persistency the recovered state must
-equal some prefix of the persist-order log; under epoch persistency it
+reports each block's failures (``wrong-plaintext``, ``mac-failure``,
+``bmt-failure``); its ``as_dict`` tags the blocks in ``excluded_addrs``
+``incomplete-epoch``.  ``check_prefix_consistency`` is the recovery
+observer: under strict persistency the recovered state must equal some
+prefix of the persist-order log; under epoch persistency it
 must match the last completed epoch boundary outside the crashed epoch's
 footprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bmt import BmtGeometry, rebuild_from_counters
@@ -66,40 +68,25 @@ class DurableSnapshot:
 
 
 @dataclass
-class BlockVerdict:
-    wrong_plaintext: bool = False
-    mac_failure: bool = False
-    bmt_failure: bool = False
-    incomplete_epoch: bool = False
-
-    def failures(self) -> set:
-        out = set()
-        if self.wrong_plaintext:
-            out.add("wrong-plaintext")
-        if self.mac_failure:
-            out.add("mac-failure")
-        if self.bmt_failure:
-            out.add("bmt-failure")
-        return out
-
-
-@dataclass
 class RecoveryReport:
+    """Each durable block's failures: ``wrong-plaintext`` (not the write it
+    claims to hold), ``mac-failure`` (MAC missing or wrong), ``bmt-failure``
+    (the tree rebuilt from durable counters misses the root register); a
+    block with none is recovered.  ``as_dict`` adds ``incomplete-epoch`` to
+    the blocks in ``excluded_addrs``."""
+
     crash_cycle: int
     persistency: str
     bmt_ok: bool
-    rebuilt_root: int
-    root_register: int
-    verdicts: dict  # addr -> BlockVerdict
+    verdicts: dict  # addr -> frozenset of failure names
     plaintexts: dict  # addr -> decrypted bytes (all durable blocks)
-    recovered: dict  # addr -> plaintext, blocks with no failure verdicts
     completed_epochs: set
     incomplete_epochs: set
     excluded_addrs: set
     matched_prefix: Optional[int] = None
 
-    def verdict_set(self, addr: int) -> set:
-        return self.verdicts[addr].failures()
+    def verdict_set(self, addr: int) -> frozenset:
+        return self.verdicts[addr]
 
     def as_dict(self) -> dict:
         return {
@@ -108,10 +95,10 @@ class RecoveryReport:
             "bmt_ok": self.bmt_ok,
             "matched_prefix": self.matched_prefix,
             "blocks": {
-                f"0x{addr:x}": sorted(v.failures()) + (["incomplete-epoch"] if v.incomplete_epoch else [])
-                for addr, v in sorted(self.verdicts.items())
+                f"0x{addr:x}": sorted(failures) + ["incomplete-epoch"] * (addr in self.excluded_addrs)
+                for addr, failures in sorted(self.verdicts.items())
             },
-            "recovered_blocks": len(self.recovered),
+            "recovered_blocks": sum(not failures for failures in self.verdicts.values()),
             "completed_epochs": sorted(self.completed_epochs),
             "incomplete_epochs": sorted(self.incomplete_epochs),
         }
@@ -163,17 +150,14 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     counters: dict = {}
     macs: dict = {}
     expected_plain: dict = {}  # its keys are the touched blocks
-    incomplete_epochs: set = set()
+    cut_epochs: set = set()  # epochs with a durable tuple or a root effect by the cut
 
     for entry in sim.wpq_entries:
         # the three components arrive together, so they are durable together
         durable = entry.durable_cycle
         if durable is None or durable > cut:
             continue
-        if is_ep:
-            done = sim.epoch_completion.get(entry.epoch)
-            if done is None or done > cut:
-                incomplete_epochs.add(entry.epoch)
+        cut_epochs.add(entry.epoch)
         skip = omitted[1] if omitted is not None and entry.pid == omitted[0] else None
         addr = entry.addr.value
         # touched even with one component omitted: ciphertext or MAC is durable
@@ -192,18 +176,15 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
         if omitted is not None and pid == omitted[0] and omitted[1] == "root":
             continue
         root_register = value
-        if is_ep:
-            # a root effect from a still-running epoch marks it in flight even
-            # when none of its tuple components became durable yet
-            epoch = sim.golden.log[pid].epoch
-            done = sim.epoch_completion.get(epoch)
-            if done is None or done > cut:
-                incomplete_epochs.add(epoch)
+        # a root effect from a still-running epoch marks it in flight even
+        # when none of its tuple components became durable yet
+        cut_epochs.add(sim.wpq_entries[pid].epoch)
 
     completed_epochs = {e for e, c in sim.epoch_completion.items() if c <= cut} if is_ep else set()
+    incomplete_epochs = cut_epochs - completed_epochs if is_ep else set()
 
     excluded_addrs: set = set()
-    if is_ep and incomplete_epochs:
+    if incomplete_epochs:
         tainted_pages = set()
         for entry in sim.wpq_entries:
             if entry.epoch in incomplete_epochs and entry.submit_cycle <= cut:
@@ -237,14 +218,11 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
     durable image claims to hold - an oracle label for tests, not an input
     any real recovery would have.
     """
-    rebuilt = rebuild_from_counters(snapshot.counters, geometry, keys)
-    rebuilt_root = rebuilt.root()
-    bmt_ok = rebuilt_root == snapshot.root_register
+    bmt_ok = rebuild_from_counters(snapshot.counters, geometry, keys).root() == snapshot.root_register
 
     verdicts: dict = {}
     plaintexts: dict = {}
-    recovered: dict = {}
-    for addr in sorted(snapshot.expected_plain):
+    for addr, expected in sorted(snapshot.expected_plain.items()):
         # a block whose new ciphertext never persisted reads as NVMM zeros
         ciphertext = snapshot.data.get(addr, b"\x00" * BLOCK_SIZE)
         page = addr // PAGE_SIZE
@@ -252,38 +230,24 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
         ctr_block = snapshot.counters.get(page)
         counter = ctr_block.effective(block_in_page) if ctr_block else (0, 0)
         plain, tag = open_block(ciphertext, addr, counter, keys)
-        stored_mac = snapshot.macs.get(addr)
-        mac_ok = stored_mac is not None and stored_mac == tag
-        expected = snapshot.expected_plain.get(addr)
-        verdict = BlockVerdict(
-            wrong_plaintext=expected is not None and plain != expected,
-            mac_failure=not mac_ok,
-            bmt_failure=not bmt_ok,
-            incomplete_epoch=addr in snapshot.excluded_addrs,
-        )
-        verdicts[addr] = verdict
+        failed = {"wrong-plaintext": plain != expected, "mac-failure": snapshot.macs.get(addr) != tag,
+                  "bmt-failure": not bmt_ok}
+        verdicts[addr] = frozenset(name for name, bad in failed.items() if bad)
         plaintexts[addr] = plain
-        if not verdict.failures():
-            recovered[addr] = plain
 
     return RecoveryReport(
         crash_cycle=snapshot.crash_cycle,
         persistency=snapshot.persistency,
         bmt_ok=bmt_ok,
-        rebuilt_root=rebuilt_root,
-        root_register=snapshot.root_register,
         verdicts=verdicts,
         plaintexts=plaintexts,
-        recovered=recovered,
         completed_epochs=set(snapshot.completed_epochs),
         incomplete_epochs=set(snapshot.incomplete_epochs),
         excluded_addrs=set(snapshot.excluded_addrs),
     )
 
 
-def check_prefix_consistency(
-    report: RecoveryReport, golden: GoldenMemory, persistency: Optional[str] = None
-) -> ConsistencyResult:
+def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> ConsistencyResult:
     """The crash recovery observer's pass/fail call.
 
     SP: the recovered state must equal the golden state after some prefix
@@ -292,16 +256,15 @@ def check_prefix_consistency(
     completed epoch boundary; crashed-epoch blocks are classified, not
     judged.
     """
-    model = persistency or report.persistency
-    if model == "SP":
-        for addr, verdict in report.verdicts.items():
-            if verdict.failures():
+    if report.persistency == "SP":
+        for addr, failures in report.verdicts.items():
+            if failures:
                 return ConsistencyResult(
                     False,
                     violation=Violation(
                         addr,
                         "crash-recovery-tuple",
-                        f"block 0x{addr:x} failed {sorted(verdict.failures())} at a plain crash point",
+                        f"block 0x{addr:x} failed {sorted(failures)} at a plain crash point",
                     ),
                 )
         target = report.plaintexts
@@ -329,8 +292,7 @@ def check_prefix_consistency(
     for addr in sorted(set(expected) | set(report.plaintexts)):
         if addr in report.excluded_addrs:
             continue
-        verdict = report.verdicts.get(addr)
-        if verdict is not None and verdict.mac_failure:
+        if "mac-failure" in report.verdicts.get(addr, ()):
             return ConsistencyResult(
                 False,
                 violation=Violation(addr, "epoch-order", f"block 0x{addr:x} MAC failed outside crashed epoch"),

@@ -42,15 +42,17 @@ while younger persists overwrite shared state underneath.
 
 Under epoch persistency one table, ``epochs``, holds an ``EttEntry`` per
 epoch with members, oldest first; an epoch's stores are consecutive
-persists, so its members are ``range(first_pid, end_pid)``.  Epochs
-complete strictly in order, at cycles that never decrease, so the watermark
-``open_idx`` splits the table: ``epochs[:open_idx]`` have completed and
-``epochs[open_idx:]`` is the live epoch tracking table (ETT).  Once the
-next epoch starts, an epoch counts the deepest level its members hold and
-how many hold it, and counts again when the last of them moves up; that
-sets ``older`` of the epochs after it.  A WPQ entry survives power
-loss from its ``durable_cycle``, when it may drain: under SP once its
-tuple completed, under EP once it arrived and its epoch is unlocked.
+persists, so its members are ``range(first_pid, end_pid)``.  An epoch
+unlocks a cycle after its predecessor completes and completes no earlier
+than its unlock, so epochs complete in order at strictly increasing cycles,
+and the watermark ``open_idx`` splits the table: ``epochs[:open_idx]`` have
+completed and ``epochs[open_idx:]`` is the live epoch tracking table
+(ETT).  Once the next epoch starts, an epoch counts the deepest level its
+members hold and how many hold it, and counts again when the last of them
+moves up; that sets ``older`` of the epochs after it.  A WPQ entry
+survives power loss from its ``durable_cycle``, when it may drain: under
+SP once its tuple completed, under EP at the later of its arrival and its
+epoch's unlock.
 """
 
 from __future__ import annotations
@@ -160,11 +162,6 @@ class WpqEntry:
         self.durable_cycle = None  # queued to drain: survives power loss from here on
 
     @property
-    def counter(self) -> tuple:
-        """This block's effective (major, minor) counter in the snapshot."""
-        return self.counter_block.effective(self.addr.block_in_page)
-
-    @property
     def arrivals(self) -> dict:
         """Arrival cycle of each component (read-only view)."""
         return {} if self.arrival_cycle is None else dict.fromkeys(COMPONENTS, self.arrival_cycle)
@@ -177,7 +174,6 @@ class PttEntry:
         "pid",
         "epoch",
         "path",
-        "levels",
         "wpq",
         "ready_cycle",
         "next_idx",
@@ -185,24 +181,21 @@ class PttEntry:
         "last_plan_idx",
         "gate_count",
         "obligations",
-        "persisted",
         "ett",
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, path, levels, wpq, ready_cycle):
+    def __init__(self, pid, epoch, path, wpq, ready_cycle):
         self.pid = pid
         self.epoch = epoch
-        self.path = path  # update path, leaf first
-        self.levels = levels
-        self.wpq = wpq
+        self.path = path  # update path, leaf first: one node per level
+        self.wpq = wpq  # its root_done_cycle is set once the persist has persisted
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
-        self.last_plan_idx = levels - 1
-        self.gate_count = levels  # plan nodes below the merge point; < levels once it leads a pair
+        self.last_plan_idx = len(path) - 1
+        self.gate_count = len(path)  # plan nodes below the merge point; < len(path) once it leads a pair
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
-        self.persisted = False
         self.ett = None  # its epoch's EttEntry (ooo/coalesce)
 
     @property
@@ -314,7 +307,10 @@ class Simulator:
             self.epoch_boundary(now)
             self.trace_pos += 1
         if self.trace_pos >= len(self.trace):
-            self._finish_trace(now)
+            # final epoch's membership is closed; it may already be complete
+            self.trace_done = True
+            if self.open_idx < len(self.epochs):
+                self._epoch_maybe_complete(self.epochs[self.open_idx], now)
             return
         store = self.trace[self.trace_pos]
         epoch = self.current_epoch
@@ -342,14 +338,6 @@ class Simulator:
         self.trace_pos += 1
         self._submit_store(store, epoch, now)
         self.events.push(now + 1, SUBMIT, self._ev_submit)
-
-    def _finish_trace(self, now: int) -> None:
-        if not self.trace_done:
-            self.trace_done = True
-            # final epoch's membership is closed; it may already be complete
-            for ett in self.epochs[self.open_idx:]:
-                if not self._epoch_maybe_complete(ett, now):
-                    break
 
     def epoch_boundary(self, now: int) -> None:
         """Persist fence: subsequent stores belong to the next epoch."""
@@ -394,7 +382,7 @@ class Simulator:
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
         path = self.geometry.update_path(self.geometry.leaf_for_page(page))
-        entry = PttEntry(pid, epoch, path, self.geometry.levels, wpq, ready)
+        entry = PttEntry(pid, epoch, path, wpq, ready)
         self.ptt_order.append(entry)
         if self.is_ep:
             if not self.epochs or self.epochs[-1].epoch != epoch:
@@ -435,9 +423,9 @@ class Simulator:
         """
         if prev.epoch != new_entry.epoch:
             return
-        if prev.gate_count < prev.levels or prev.persisted:  # it leads a pair or has persisted
-            return
         levels = self.geometry.levels
+        if prev.gate_count < levels or prev.wpq.root_done_cycle is not None:  # it leads a pair or persisted
+            return
         lca_level = self.geometry.merge_level(prev.path, new_entry.path)
         if prev.next_idx > 0:
             shallowest_issued = levels - (prev.next_idx - 1)
@@ -470,7 +458,7 @@ class Simulator:
     def _issue_update(self, entry: PttEntry, now: int) -> None:
         idx = entry.next_idx
         label = entry.path[idx]
-        level = entry.levels - idx
+        level = self.geometry.levels - idx
         entry.next_idx = idx + 1
         entry.inflight = True
         self.inflight_updates += 1
@@ -552,17 +540,16 @@ class Simulator:
         self._dispatch(self, now)
 
     def _mark_persisted(self, entry: PttEntry, now: int) -> None:
-        if entry.persisted:
-            return
-        entry.persisted = True
         wpq = entry.wpq
+        if wpq.root_done_cycle is not None:
+            return
         wpq.root_done_cycle = now
         self._dealloc_ptt(now)
         self._check_complete(wpq, now)
 
     def _dealloc_ptt(self, now: int) -> None:
         freed = False
-        while self.ptt_order and self.ptt_order[0].persisted:
+        while self.ptt_order and self.ptt_order[0].wpq.root_done_cycle is not None:
             self.ptt_order.popleft()
             freed = True
         if freed:
@@ -649,11 +636,12 @@ class Simulator:
         """Count ``ett``'s deepest held level over its queued members; pass it on to later epochs."""
         order = self.ptt_order
         head = order[0].pid if order else ett.end_pid
+        levels = self.geometry.levels
         held = []
         for entry in islice(order, max(ett.first_pid - head, 0), max(ett.end_pid - head, 0)):
             idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
             if idx <= entry.last_plan_idx:
-                held.append(entry.levels - idx)
+                held.append(levels - idx)
         ett.deepest = max(held, default=0)
         ett.at_deepest = held.count(ett.deepest)
         epochs = self.epochs
@@ -672,8 +660,6 @@ class Simulator:
             self._maybe_drain(wpq, self.clock)
 
     def _check_complete(self, wpq: WpqEntry, now: int) -> None:
-        if wpq.complete_cycle is not None:
-            return
         if wpq.arrival_cycle is None or wpq.root_done_cycle is None:
             return
         wpq.complete_cycle = now
@@ -684,38 +670,42 @@ class Simulator:
             ett.incomplete -= 1
             self._epoch_maybe_complete(ett, now)
         else:
-            self._maybe_drain(wpq, now)
+            self._queue_drain(wpq, now)  # under SP a completed tuple may drain
         if self.scheme == "sequential":
             self._dispatch(self, now)  # the next persist may start now
 
-    def _epoch_maybe_complete(self, ett: EttEntry, now: int) -> bool:
-        """Complete ``ett``'s epoch if it can; True when it did."""
+    def _epoch_maybe_complete(self, ett: EttEntry, now: int) -> None:
+        """Complete ``ett``'s epoch if it can."""
         # epochs complete strictly in order, so only the oldest open epoch
         # can; a younger epoch whose tuples all arrived early still waits
-        # for every older boundary
+        # for every older boundary, and it completes no earlier than its
+        # unlock: the unlock sweep a cycle after its predecessor completes it
         if self.open_idx >= len(self.epochs) or self.epochs[self.open_idx] is not ett:
-            return False
+            return
+        if self.open_idx and self.epoch_completion[self.epochs[self.open_idx - 1].epoch] == now:
+            return
         membership_final = ett.epoch < self.current_epoch or self.trace_done
         if not membership_final or ett.incomplete:
-            return False
+            return
         self.epoch_completion[ett.epoch] = now
         self.open_idx += 1
         self._wake_submit(now)
         for pid in range(ett.first_pid, ett.end_pid):
             self._maybe_drain(self.wpq_entries[pid], now)
-        # successor epoch's entries unlock strictly after this boundary
+        # the waiting persists dispatch at now + 1 before that cycle's unlock sweep,
+        # whose drains or completion may admit a store that takes a MAC unit first
         self._schedule_kick(now + 1)
         self.events.push(now + 1, KICK, self._ev_unlock_sweep)
-        return True
 
     def _ev_unlock_sweep(self, _payload) -> None:
         if self.open_idx >= len(self.epochs):
             return
         ett = self.epochs[self.open_idx]
-        # the successor may have been waiting only on the boundary order
-        if not self._epoch_maybe_complete(ett, self.clock):
-            for pid in range(ett.first_pid, ett.end_pid):
-                self._maybe_drain(self.wpq_entries[pid], self.clock)
+        # it unlocks now: its arrived entries drain, and it may have been
+        # waiting only on its unlock to complete
+        for pid in range(ett.first_pid, ett.end_pid):
+            self._maybe_drain(self.wpq_entries[pid], self.clock)
+        self._epoch_maybe_complete(ett, self.clock)
 
     @property
     def epoch_members(self) -> dict:
@@ -727,8 +717,8 @@ class Simulator:
 
         The oldest epoch is unlocked from the start; epoch e unlocks one
         cycle after the last older epoch completed.  None while still locked.
-        Because epochs complete in order at non-decreasing cycles, that is
-        the completion cycle of the nearest older epoch with members, plus 1.
+        Because epochs complete in order at increasing cycles, that is the
+        completion cycle of the nearest older epoch with members, plus 1.
         """
         idx = bisect_left(self.epochs, epoch, key=_EPOCH)
         if idx == 0:
@@ -739,17 +729,15 @@ class Simulator:
     # drains -------------------------------------------------------------
 
     def _maybe_drain(self, wpq: WpqEntry, now: int) -> None:
-        if wpq.durable_cycle is not None:
+        """Under EP, queue an entry to drain once it arrived and its epoch is unlocked."""
+        if wpq.durable_cycle is not None or wpq.arrival_cycle is None:
             return
-        if self.is_ep:
-            if wpq.arrival_cycle is None:
-                return
-            unlock = self.unlock_cycle(wpq.epoch)
-            if unlock is None or unlock > now:
-                return
-        else:
-            if wpq.complete_cycle is None:
-                return
+        unlock = self.unlock_cycle(wpq.epoch)
+        if unlock is None or unlock > now:
+            return
+        self._queue_drain(wpq, now)
+
+    def _queue_drain(self, wpq: WpqEntry, now: int) -> None:
         wpq.durable_cycle = now
         heappush(self.drain_eligible, wpq.pid)
         self._schedule_drain(now)

@@ -40,9 +40,6 @@ class BlockAddr:
     def block_in_page(self) -> int:
         return (self.value // BLOCK_SIZE) % BLOCKS_PER_PAGE
 
-    def __int__(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class SplitCounter:

@@ -75,16 +75,20 @@ def parse(stream: Union[str, Iterable[str]]) -> List[TraceEvent]:
     return events
 
 
-def read_trace(path: str) -> List[TraceEvent]:
-    """Parse the trace file at ``path``; text that is not UTF-8 is a parse error."""
+def read_text(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 raises TraceParseError with its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise TraceParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
-    return parse(text)
+
+
+def read_trace(path: str) -> List[TraceEvent]:
+    """Parse the trace file at ``path``; text that is not UTF-8 is a parse error."""
+    return parse(read_text(path))
 
 
 def render(events: Iterable[TraceEvent]) -> str:

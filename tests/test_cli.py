@@ -223,11 +223,12 @@ def test_bad_input_is_usage_error_with_message(capsys, argv):
         (("NVMSIM_IDEAL_CACHES", "maybe"), ("ideal_caches", "NVMSIM_IDEAL_CACHES")),
         ("[run]\nlevels = abc\n", ("levels", "config file", "'abc'")),
         (("NVMSIM_SEED", "x"), ("seed", "NVMSIM_SEED", "'x'")),
+        (b"\xff[a]\nseed=1\n", ("config file", "bad.cfg", "line 1", "byte 0xff is not UTF-8 text")),
     ],
     ids=["file-without-section", "file-duplicate-key", "file-key-without-value",
          "file-interpolation", "file-bool-maybe", "file-negative-seed",
          "env-negative-seed", "env-seed-above-64-bits", "env-bool-maybe",
-         "file-non-integer", "env-non-integer"],
+         "file-non-integer", "env-non-integer", "file-not-utf8"],
 )
 def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeypatch, setting, named):
     if isinstance(setting, tuple):
@@ -235,7 +236,7 @@ def test_bad_config_source_is_usage_error_with_message(tmp_path, capsys, monkeyp
         argv = BASE
     else:
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(setting)
+        cfg.write_bytes(setting if isinstance(setting, bytes) else setting.encode())
         argv = [*BASE, "--config", str(cfg)]
     code, _, err = run_cli(capsys, "run", *argv)
     assert code == EXIT_USAGE

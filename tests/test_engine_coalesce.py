@@ -160,10 +160,10 @@ def test_below_done_matches_the_update_log_at_every_event():
                 committed.setdefault(records[i + 2], []).append(records[i + 3])
             read = len(records)
             for entry in sim.ptt_order:
-                merge_level = entry.levels - entry.gate_count
+                merge_level = sim.geometry.levels - entry.gate_count
                 below = sum(level > merge_level for level in committed.get(entry.pid, ()))
                 assert entry.below_done == (below >= entry.gate_count), (sim.params, sim.clock, entry.pid)
-                if entry.gate_count < entry.levels:  # it leads a pair
+                if entry.gate_count < sim.geometry.levels:  # it leads a pair
                     seen.add(entry.below_done)
         assert not sim.outstanding_persists()
     assert seen == {False, True}

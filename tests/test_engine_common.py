@@ -20,7 +20,7 @@ def test_pad_seeds_unique_over_run(rng):
     # temporal + spatial uniqueness: no (addr, counter) pair is ever reused
     text = random_trace_text(rng, 60, 3)
     sim = run_sim("ooo", text)
-    seeds = [(e.addr.value, e.counter) for e in sim.wpq_entries]
+    seeds = [(e.addr.value, e.counter_block.effective(e.addr.block_in_page)) for e in sim.wpq_entries]
     assert len(seeds) == len(set(seeds))
 
 

@@ -1,7 +1,7 @@
 """The epoch watermark against full scans of every epoch, and bounded tracking state.
 
 ``unlock_cycle`` looks at one epoch only, because epochs complete in order
-at cycles that never decrease.  The reference function below scans every
+at strictly increasing cycles.  The reference function below scans every
 epoch seen so far and needs no such invariant; the two must agree at every
 event of a run.  The epoch table itself is checked against the WPQ entries
 at every event too, and so is the rule the ooo walk enforces: an update in
@@ -89,20 +89,23 @@ def test_watermark_matches_full_scan_at_every_event(scheme):
         # the invariant the watermark rests on
         assert list(sim.epoch_completion) == list(sim.epoch_members)
         cycles = [sim.epoch_completion[e] for e in sorted(sim.epoch_completion)]
-        assert cycles == sorted(cycles)
+        assert all(a < b for a, b in zip(cycles, cycles[1:])), cycles
+        # an epoch completes no earlier than its unlock
+        assert all(done >= sim.unlock_cycle(e) for e, done in sim.epoch_completion.items())
 
 
 def occupied_levels(sim):
     """``(epoch, level, in flight)`` of each unpersisted persist: the level of
     its update in flight, or of the next update its plan still holds."""
     out = []
+    levels = sim.geometry.levels
     for entry in sim.ptt_order:
-        if entry.persisted:
+        if entry.wpq.root_done_cycle is not None:  # persisted
             continue
         if entry.inflight:
-            out.append((entry.epoch, entry.levels - entry.next_idx + 1, True))
+            out.append((entry.epoch, levels - entry.next_idx + 1, True))
         elif entry.next_idx <= entry.last_plan_idx:
-            out.append((entry.epoch, entry.levels - entry.next_idx, False))
+            out.append((entry.epoch, levels - entry.next_idx, False))
     return out
 
 
@@ -166,3 +169,18 @@ def test_commit_horizon_is_pruned_with_a_zero_mac_latency():
     sim = Simulator(SimParams(scheme="sequential", latency=LatencyConfig(mac_latency=0)), trace)
     run_until_idle(sim)
     assert all(cycle >= sim.clock for cycle in sim.node_commit_horizon.values())
+
+
+def test_waiting_persists_dispatch_before_the_unlock_sweep():
+    # epoch 0 completes at cycle 2.  At cycle 3 the persists already waiting
+    # dispatch before that cycle's unlock sweep, so persist 1 takes both MAC
+    # units for its last two updates and epoch 1 completes at cycle 3.  Swept
+    # first, persist 1 would drain, its freed WPQ slot would admit persist 2,
+    # whose leaf update takes a unit in cycle 3, and epoch 1 would complete
+    # at cycle 4.
+    params = SimParams(scheme="coalesce", arity=2, levels=4, wpq_capacity=1, ptt_capacity=2, ett_capacity=3,
+                       mac_units=2, ideal_caches=True,
+                       latency=LatencyConfig(mac_latency=0, cache_hit=0, cache_fill=0, drain_interval=1))
+    sim = Simulator(params, parse(trace_text(0xC0, "F", 0x1980, "F", 0xDC0)))
+    run_until_idle(sim)
+    assert sim.epoch_completion == {0: 2, 1: 3, 2: 5}

@@ -68,7 +68,7 @@ def run_against_reference(sim) -> int:
     busy = 0
 
     def record_issue(entry, now):
-        issued.append((entry.pid, entry.levels - entry.next_idx))
+        issued.append((entry.pid, sim.geometry.levels - entry.next_idx))
         issue(entry, now)
 
     def record_kick(cycle):

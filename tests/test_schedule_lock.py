@@ -13,9 +13,9 @@ its last update committed, and, under the epoch schemes, an ETT of 2 or
 3 epochs that binds behind a 64-entry WPQ and PTT, with fences every
 store or every fifth store and two shared MAC units.  The drain path has
 its own cases: a WPQ that drains every cycle, fed by tuples that arrive
-with no enqueue delay or 3 cycles after a cache hit, so that under the
-epoch schemes the tuple arrivals, not the tree climbs, decide when
-epochs complete.
+with no enqueue delay or 3 cycles after their counter is ready, so that
+under the epoch schemes the tuple arrivals, not the tree climbs, can
+decide when epochs complete.
 Stall cycles are not pinned, so their accounting may change on its own.
 
 Re-pin after an intended change of simulated behaviour with
