@@ -678,8 +678,8 @@ class Simulator:
         """Complete ``ett``'s epoch if it can."""
         # epochs complete strictly in order, so only the oldest open epoch
         # can; a younger epoch whose tuples all arrived early still waits
-        # for every older boundary, and it completes no earlier than its
-        # unlock: the unlock sweep a cycle after its predecessor completes it
+        # for every older boundary, and for its own unlock a cycle after its
+        # predecessor's completion, when the unlock sweep completes it
         if self.open_idx >= len(self.epochs) or self.epochs[self.open_idx] is not ett:
             return
         if self.open_idx and self.epoch_completion[self.epochs[self.open_idx - 1].epoch] == now:
