@@ -19,7 +19,7 @@ from .model_core import (
 )
 from .crypto import KeySet, decrypt, encrypt, hash_node, mac_tag, verify_mac
 from .bmt import BmtGeometry, BmtState, rebuild_from_counters
-from .caches import CacheConfig, MetadataCache
+from .caches import MetadataCache
 from .trace import Fence, GenSpec, Store, TraceParseError, generate, parse, render
 from .timing import DeadlockError, EventQueue, LatencyConfig, run_until_idle, throughput_probe
 from .engine import SCHEMES, SimParams, Simulator
@@ -33,7 +33,6 @@ __all__ = [
     "BlockAddr",
     "BmtGeometry",
     "BmtState",
-    "CacheConfig",
     "CrashPlan",
     "DeadlockError",
     "EventQueue",

@@ -13,21 +13,14 @@ from dataclasses import dataclass
 from .model_core import BLOCK_SIZE
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    name: str = "cache"
-    capacity_bytes: int = 128 * 1024
-    associativity: int = 8
-    block_size: int = BLOCK_SIZE
-
-    def __post_init__(self) -> None:
-        set_bytes = self.associativity * self.block_size
-        if set_bytes <= 0 or self.capacity_bytes <= 0 or self.capacity_bytes % set_bytes != 0:
-            raise ValueError("capacity must be a positive multiple of associativity * block size")
-
-    @property
-    def num_sets(self) -> int:
-        return self.capacity_bytes // (self.associativity * self.block_size)
+def cache_sets(capacity_bytes: int, associativity: int) -> int:
+    """Number of sets of a cache of that shape; ValueError unless the
+    capacity is a positive multiple of ``associativity * BLOCK_SIZE``."""
+    set_bytes = associativity * BLOCK_SIZE
+    if set_bytes <= 0 or capacity_bytes <= 0 or capacity_bytes % set_bytes != 0:
+        raise ValueError(f"capacity {capacity_bytes} B is not a positive multiple of "
+                         f"associativity {associativity} * block size {BLOCK_SIZE} B")
+    return capacity_bytes // set_bytes
 
 
 @dataclass
@@ -59,9 +52,9 @@ class MetadataCache:
     timing where fill latency must not disturb the arithmetic).
     """
 
-    def __init__(self, config: CacheConfig, ideal: bool = False) -> None:
-        self.config = config
-        self._num_sets = config.num_sets
+    def __init__(self, capacity_bytes: int, associativity: int, ideal: bool = False) -> None:
+        self.associativity = associativity
+        self._num_sets = cache_sets(capacity_bytes, associativity)
         # per set: list of keys, most-recent last; an ideal cache keeps none
         self._sets = None if ideal else [[] for _ in range(self._num_sets)]
         self.stats = CacheStats()
@@ -77,7 +70,7 @@ class MetadataCache:
             lines = self._sets[key % self._num_sets]
             if key not in lines:
                 self.stats.misses += 1
-                if len(lines) >= self.config.associativity:
+                if len(lines) >= self.associativity:
                     lines.pop(0)
                     self.stats.evictions += 1
                 lines.append(key)

@@ -15,7 +15,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, field, fields, make_dataclass, replace as _dc_replace
+from dataclasses import asdict, field, fields, make_dataclass, replace
 from typing import Optional
 
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
@@ -52,9 +52,6 @@ class _RunConfigMethods:
     def __post_init__(self) -> None:
         self.sim_params()
         self.gen_spec()
-
-    def replace(self, **kw) -> "RunConfig":
-        return _dc_replace(self, **kw)
 
     def sim_params(self) -> SimParams:
         values = {f.name: getattr(self, f.name) for f in fields(SimParams) if f.name != "latency"}
@@ -142,7 +139,7 @@ def cmd_run(config: RunConfig, baseline_scheme: Optional[str], out) -> int:
     sim = run_simulation(config)
     baseline_cycles = None
     if baseline_scheme:
-        base = run_simulation(config.replace(scheme=baseline_scheme))
+        base = run_simulation(replace(config, scheme=baseline_scheme))
         baseline_cycles = base.stats_dict()["last_completion_cycle"]
     report = build_report(config, sim, baseline_cycles)
     json.dump(report, out, indent=2, sort_keys=True)
@@ -171,7 +168,7 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
         exact = not sim.is_ep or sim.epoch_completion.get(target.epoch) == target.complete_cycle
         # the target's root write can repeat a register value another persist
         # of its epoch already wrote; dropping it then leaves nothing to detect
-        register = crash(sim, CrashPlan("after-persist", persist_id=target.pid)).root_register
+        register = crash(sim, CrashPlan("at-cycle", cycle=target.complete_cycle)).root_register
         matrix = {}
         for comp, want in expected.items():
             snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=target.pid, component=comp))
@@ -222,7 +219,7 @@ def cmd_sweep(config: RunConfig, axis: str, values, out) -> int:
     axis_configs = []
     for value in values:
         try:
-            axis_configs.append(config.replace(**{field_name: value}))
+            axis_configs.append(replace(config, **{field_name: value}))
         except ValueError as exc:
             raise UsageError(f"sweep value {value} for {axis}: {exc}") from exc
     base_events = config.load_trace()
@@ -234,7 +231,7 @@ def cmd_sweep(config: RunConfig, axis: str, values, out) -> int:
     for value, axis_config in zip(values, axis_configs):
         events = refence(base_events, value) if axis == "epoch-size" else base_events
         for scheme in SCHEMES:
-            cfg = axis_config.replace(scheme=scheme)
+            cfg = replace(axis_config, scheme=scheme)
             sim = Simulator(cfg.sim_params(), events)
             run_until_idle(sim)
             stats = sim.stats_dict()

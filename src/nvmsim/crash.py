@@ -3,16 +3,17 @@
 ``crash`` cuts a finished simulation at a chosen point and reconstructs
 exactly what the persist domain held: NVMM images folded from the
 write-pending-queue entries the engine had let drain by then (by their
-``durable_cycle``), plus the root register.  ``recover``
-then replays what a real controller could do after power loss - rebuild
-the integrity tree from durable counters, check every MAC, decrypt - and
-reports each block's failures (``wrong-plaintext``, ``mac-failure``,
-``bmt-failure``); its ``as_dict`` tags the blocks in ``excluded_addrs``
-``incomplete-epoch``.  ``check_prefix_consistency`` is the recovery
-observer: under strict persistency the recovered state must equal some
-prefix of the persist-order log; under epoch persistency it
-must match the last completed epoch boundary outside the crashed epoch's
-footprint.
+``durable_cycle``), plus the root register.  The point is a cycle, an epoch's
+completion or a persist's completion with one tuple item dropped (modes
+``at-cycle``, ``epoch-boundary``, ``tuple-omission``).  ``recover`` then
+replays what a real controller could do after power loss - rebuild the
+integrity tree from durable counters, check every MAC, decrypt - and reports
+each block's failures (``wrong-plaintext``, ``mac-failure``, ``bmt-failure``)
+with the snapshot it judged; ``as_dict`` tags the snapshot's
+``excluded_addrs`` ``incomplete-epoch``.  ``check_prefix_consistency`` is the
+recovery observer: under strict persistency the recovered state must equal
+some prefix of the persist-order log; under epoch persistency it must match
+the last completed epoch boundary outside the crashed epoch's footprint.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bmt import BmtGeometry, rebuild_from_counters
 from .crypto import KeySet, open_block
 from .model_core import BLOCK_SIZE, GoldenMemory, PAGE_SIZE
 
-CRASH_MODES = ("at-cycle", "after-persist", "epoch-boundary", "tuple-omission")
+CRASH_MODES = ("at-cycle", "epoch-boundary", "tuple-omission")
 TUPLE_COMPONENTS = ("ciphertext", "counter", "mac", "root")
 
 
@@ -43,8 +44,8 @@ class CrashPlan:
             raise ValueError(f"unknown crash mode {self.mode!r}")
         if self.mode == "at-cycle" and self.cycle is None:
             raise ValueError("at-cycle plan needs a cycle")
-        if self.mode in ("after-persist", "tuple-omission") and self.persist_id is None:
-            raise ValueError(f"{self.mode} plan needs a persist id")
+        if self.mode == "tuple-omission" and self.persist_id is None:
+            raise ValueError("tuple-omission plan needs a persist id")
         if self.mode == "epoch-boundary" and self.epoch is None:
             raise ValueError("epoch-boundary plan needs an epoch")
         if self.mode == "tuple-omission" and self.component not in TUPLE_COMPONENTS:
@@ -69,20 +70,17 @@ class DurableSnapshot:
 
 @dataclass
 class RecoveryReport:
-    """Each durable block's failures: ``wrong-plaintext`` (not the write it
-    claims to hold), ``mac-failure`` (MAC missing or wrong), ``bmt-failure``
-    (the tree rebuilt from durable counters misses the root register); a
-    block with none is recovered.  ``as_dict`` adds ``incomplete-epoch`` to
-    the blocks in ``excluded_addrs``."""
+    """Recovery of one ``snapshot``, which the report holds for its cut,
+    persistency and epochs.  Each durable block's failures:
+    ``wrong-plaintext`` (not the write it claims to hold), ``mac-failure``
+    (MAC missing or wrong), ``bmt-failure`` (the tree rebuilt from durable
+    counters misses the root register); a block with none is recovered.
+    ``as_dict`` adds ``incomplete-epoch`` to the snapshot's ``excluded_addrs``."""
 
-    crash_cycle: int
-    persistency: str
+    snapshot: DurableSnapshot
     bmt_ok: bool
     verdicts: dict  # addr -> frozenset of failure names
     plaintexts: dict  # addr -> decrypted bytes (all durable blocks)
-    completed_epochs: set
-    incomplete_epochs: set
-    excluded_addrs: set
     matched_prefix: Optional[int] = None
 
     def verdict_set(self, addr: int) -> frozenset:
@@ -90,17 +88,17 @@ class RecoveryReport:
 
     def as_dict(self) -> dict:
         return {
-            "crash_cycle": self.crash_cycle,
-            "persistency": self.persistency,
+            "crash_cycle": self.snapshot.crash_cycle,
+            "persistency": self.snapshot.persistency,
             "bmt_ok": self.bmt_ok,
             "matched_prefix": self.matched_prefix,
             "blocks": {
-                f"0x{addr:x}": sorted(failures) + ["incomplete-epoch"] * (addr in self.excluded_addrs)
+                f"0x{addr:x}": sorted(failures) + ["incomplete-epoch"] * (addr in self.snapshot.excluded_addrs)
                 for addr, failures in sorted(self.verdicts.items())
             },
             "recovered_blocks": sum(not failures for failures in self.verdicts.values()),
-            "completed_epochs": sorted(self.completed_epochs),
-            "incomplete_epochs": sorted(self.incomplete_epochs),
+            "completed_epochs": sorted(self.snapshot.completed_epochs),
+            "incomplete_epochs": sorted(self.snapshot.incomplete_epochs),
         }
 
 
@@ -121,7 +119,7 @@ class ConsistencyResult:
 def _resolve_cut(sim, plan: CrashPlan) -> int:
     if plan.mode == "at-cycle":
         return plan.cycle
-    if plan.mode in ("after-persist", "tuple-omission"):
+    if plan.mode == "tuple-omission":
         if plan.persist_id is None or plan.persist_id >= len(sim.wpq_entries):
             raise ValueError(f"no such persist: {plan.persist_id}")
         cycle = sim.wpq_entries[plan.persist_id].complete_cycle
@@ -236,14 +234,10 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
         plaintexts[addr] = plain
 
     return RecoveryReport(
-        crash_cycle=snapshot.crash_cycle,
-        persistency=snapshot.persistency,
+        snapshot=snapshot,
         bmt_ok=bmt_ok,
         verdicts=verdicts,
         plaintexts=plaintexts,
-        completed_epochs=set(snapshot.completed_epochs),
-        incomplete_epochs=set(snapshot.incomplete_epochs),
-        excluded_addrs=set(snapshot.excluded_addrs),
     )
 
 
@@ -256,7 +250,7 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
     completed epoch boundary; crashed-epoch blocks are classified, not
     judged.
     """
-    if report.persistency == "SP":
+    if report.snapshot.persistency == "SP":
         for addr, failures in report.verdicts.items():
             if failures:
                 return ConsistencyResult(
@@ -287,10 +281,10 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
         )
 
     # EP
-    boundary = max(report.completed_epochs) if report.completed_epochs else None
+    boundary = max(report.snapshot.completed_epochs) if report.snapshot.completed_epochs else None
     expected = golden.state_at_epoch_end(boundary) if boundary is not None else {}
     for addr in sorted(set(expected) | set(report.plaintexts)):
-        if addr in report.excluded_addrs:
+        if addr in report.snapshot.excluded_addrs:
             continue
         if "mac-failure" in report.verdicts.get(addr, ()):
             return ConsistencyResult(
@@ -304,7 +298,7 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
                     addr, "epoch-order", f"block 0x{addr:x} does not match epoch {boundary} boundary state"
                 ),
             )
-    if not report.incomplete_epochs and not report.bmt_ok:
+    if not report.snapshot.incomplete_epochs and not report.bmt_ok:
         return ConsistencyResult(
             False,
             violation=Violation(None, "epoch-order", "tree root mismatch at a clean epoch boundary"),

@@ -60,14 +60,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from operator import attrgetter
 from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
-from .caches import CacheConfig, MetadataCache
+from .caches import MetadataCache, cache_sets
 from .crypto import KeySet, encrypt, mac_tag, payload_block
 from .model_core import BLOCK_SIZE, GoldenMemory, SplitCounter
 from .timing import (
@@ -119,10 +119,10 @@ class SimParams:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in 0 .. 2**64-1")
         self.geometry()
-        CacheConfig("metadata", self.cache_kb * 1024, self.cache_assoc)
-
-    def replace(self, **kw) -> "SimParams":
-        return _dc_replace(self, **kw)
+        try:
+            cache_sets(self.cache_kb * 1024, self.cache_assoc)
+        except ValueError as exc:
+            raise ValueError(f"cache_kb {self.cache_kb} with cache_assoc {self.cache_assoc}: {exc}") from None
 
     def geometry(self) -> BmtGeometry:
         return BmtGeometry(self.arity, self.levels)
@@ -178,7 +178,6 @@ class PttEntry:
         "ready_cycle",
         "next_idx",
         "inflight",
-        "last_plan_idx",
         "gate_count",
         "obligations",
         "ett",
@@ -193,8 +192,8 @@ class PttEntry:
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
-        self.last_plan_idx = len(path) - 1
-        self.gate_count = len(path)  # plan nodes below the merge point; < len(path) once it leads a pair
+        self.gate_count = len(path)  # plan nodes below the merge point (< len(path) once it leads a pair)
+        # its plan is path[:gate_count or 1]: a leader that merges at its own leaf keeps the leaf
         self.obligations = []  # [(level, leader)] merge points inherited from leaders
         self.ett = None  # its epoch's EttEntry (ooo/coalesce)
 
@@ -237,15 +236,9 @@ class Simulator:
         self.bmt = BmtState(self.geometry, self.keys)
 
         kb = params.cache_kb * 1024
-        self.counter_cache = MetadataCache(
-            CacheConfig("counter", kb, params.cache_assoc), ideal=params.ideal_caches
-        )
-        self.mac_cache = MetadataCache(
-            CacheConfig("mac", kb, params.cache_assoc), ideal=params.ideal_caches
-        )
-        self.bmt_cache = MetadataCache(
-            CacheConfig("bmt", kb, params.cache_assoc), ideal=params.ideal_caches
-        )
+        self.counter_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
+        self.mac_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
+        self.bmt_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
 
         self.trace = list(trace_events)
         self.trace_pos = 0
@@ -253,8 +246,7 @@ class Simulator:
         self.current_epoch = 0  # global epoch counter
         self.page_ready: dict = {}
 
-        self.wpq_entries: list = []  # by pid
-        self.wpq_occupancy = 0
+        self.wpq_entries: list = []  # by pid; those not drained yet occupy the WPQ
         self.ptt_order: deque = deque()
         self.epochs: list = []  # EttEntry per epoch with members, oldest first
         self.open_idx = 0  # epochs[:open_idx] have completed; epochs[open_idx:] is the live ETT
@@ -283,11 +275,9 @@ class Simulator:
         self._submit_waiting = False
         self._stall_start = None  # (cycle, causes)
 
-        self.stats = {
-            "persists_submitted": 0,
+        self.stats = {  # persists_submitted and root_updates are read off wpq_entries and root_history
             "persists_completed": 0,
             "node_updates": 0,
-            "root_updates": 0,
             "coalesce_pairs": 0,
             "counter_overflows": 0,
             "bmt_fills": 0,
@@ -316,7 +306,7 @@ class Simulator:
         epoch = self.current_epoch
 
         causes = []
-        if self.wpq_occupancy >= self.params.wpq_capacity:
+        if len(self.wpq_entries) - self.stats["drains"] >= self.params.wpq_capacity:
             causes.append("wpq_full")
         if len(self.ptt_order) >= self.params.ptt_capacity:
             causes.append("ptt_full")
@@ -364,8 +354,6 @@ class Simulator:
 
         wpq = WpqEntry(pid, addr, epoch, now, ciphertext, new_block, mac)
         self.wpq_entries.append(wpq)
-        self.wpq_occupancy += 1
-        self.stats["persists_submitted"] += 1
 
         # counter block access decides when the new counter (and thus the
         # leaf update and tuple components) is available; bumps to one page
@@ -419,26 +407,21 @@ class Simulator:
         path from the LCA to the root.  The leader's ``gate_count`` is then
         the number of plan nodes below the merge level; the trailer's
         update at that level waits until ``below_done`` says they all
-        committed, and its commit persists the leader.
+        committed, and its commit persists the leader.  It pairs unless
+        ``prev.next_idx > (levels - lca_level or 1)``: issued past its new plan.
+        That covers a persisted non-leader, whose ``next_idx == levels`` tops every bound.
         """
         if prev.epoch != new_entry.epoch:
             return
         levels = self.geometry.levels
-        if prev.gate_count < levels or prev.wpq.root_done_cycle is not None:  # it leads a pair or persisted
+        if prev.gate_count < levels:  # it leads a pair
             return
         lca_level = self.geometry.merge_level(prev.path, new_entry.path)
-        if prev.next_idx > 0:
-            shallowest_issued = levels - (prev.next_idx - 1)
-            # the leading persist must not have gone past the merge point;
-            # an already-issued leaf is fine when the merge point is the leaf
-            if shallowest_issued < lca_level:
-                return
-            if shallowest_issued == lca_level and lca_level != levels:
-                return
+        if prev.next_idx > (levels - lca_level or 1):
+            return
 
-        prev.last_plan_idx = max(levels - lca_level - 1, 0)
         prev.gate_count = levels - lca_level
-        if not prev.inflight and prev.next_idx > prev.last_plan_idx:  # its plan ends where it waits
+        if not prev.inflight and prev.next_idx >= (prev.gate_count or 1):  # its plan ends where it waits
             self.waiting.remove(prev)
 
         new_entry.obligations.append((lca_level, prev))
@@ -514,7 +497,7 @@ class Simulator:
         ett = entry.ett
         if ett is not None:
             # the entry leaves `level` for the next level of its plan, if any
-            if entry.next_idx <= entry.last_plan_idx:
+            if entry.next_idx < (entry.gate_count or 1):
                 insort(self.waiting, entry, key=_PID)
             if ett.deepest == level:
                 ett.at_deepest -= 1
@@ -522,7 +505,6 @@ class Simulator:
                     self._count_deepest(ett)
 
         if label == 0:
-            self.stats["root_updates"] += 1
             self.bmt.root_register = value
             self.root_history.append((now, entry.pid, value))
             self._mark_persisted(entry, now)
@@ -540,9 +522,7 @@ class Simulator:
         self._dispatch(self, now)
 
     def _mark_persisted(self, entry: PttEntry, now: int) -> None:
-        wpq = entry.wpq
-        if wpq.root_done_cycle is not None:
-            return
+        wpq = entry.wpq  # marked once: a leader stops below its merge point, in one obligation list
         wpq.root_done_cycle = now
         self._dealloc_ptt(now)
         self._check_complete(wpq, now)
@@ -640,7 +620,7 @@ class Simulator:
         held = []
         for entry in islice(order, max(ett.first_pid - head, 0), max(ett.end_pid - head, 0)):
             idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
-            if idx <= entry.last_plan_idx:
+            if idx < (entry.gate_count or 1):
                 held.append(levels - idx)
         ett.deepest = max(held, default=0)
         ett.at_deepest = held.count(ett.deepest)
@@ -750,13 +730,10 @@ class Simulator:
 
     def _ev_drain(self, _payload) -> None:
         now = self.clock
-        self.drain_scheduled = False
-        if not self.drain_eligible:
-            return
+        self.drain_scheduled = False  # _schedule_drain pushes one drain at a time, onto a non-empty heap
         pid = heappop(self.drain_eligible)
         wpq = self.wpq_entries[pid]
         wpq.drained_cycle = now
-        self.wpq_occupancy -= 1
         self.stats["drains"] += 1
         self.next_drain_free = now + self.latency.drain_interval
         self._wake_submit(now)
@@ -812,7 +789,7 @@ class Simulator:
              f"{e.ready_cycle} obligation levels {[lv for lv, _ in e.obligations]}" for e in self.ptt_order]
             + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} incomplete {t.incomplete} deepest "
                f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.epochs[self.open_idx:]]
-            + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {self.wpq_occupancy} of "
+            + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {len(self.wpq_entries) - self.stats['drains']} of "
                f"{self.params.wpq_capacity} occupied, {len(self.drain_eligible)} in the drain heap"])
 
     @property
@@ -825,7 +802,7 @@ class Simulator:
         return max((e.complete_cycle for e in self.wpq_entries if e.complete_cycle is not None), default=0)
 
     def stats_dict(self) -> dict:
-        out = dict(self.stats)
+        out = dict(self.stats, persists_submitted=len(self.wpq_entries), root_updates=len(self.root_history))
         out["stall_cycles"] = dict(self.stats["stall_cycles"])
         out["total_cycles"] = self.clock
         out["last_completion_cycle"] = self.last_completion_cycle()

@@ -95,7 +95,7 @@ class SplitCounter:
         return self.major.to_bytes(8, "little") + self.packed.to_bytes(56, "little")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreRecord:
     persist_id: int
     addr: BlockAddr

@@ -9,7 +9,7 @@ them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 # kind priorities: completions settle before arrivals, bookkeeping and new
@@ -116,7 +116,7 @@ def throughput_probe(scheme: str, n_persists: int, params=None) -> float:
         raise ValueError("probe needs at least 3 persists")
     if params is None:
         params = SimParams()
-    params = params.replace(scheme=scheme, ideal_caches=True)
+    params = replace(params, scheme=scheme, ideal_caches=True)
     lines = "".join(f"S 0x{i * PAGE_SIZE:x}\n" for i in range(n_persists))
     sim = Simulator(params, parse(lines))
     run_until_idle(sim)

@@ -118,8 +118,9 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.store_count < 0 or self.pages < 1 or self.run_length < 1 or self.fence_interval < 0:
-            raise ValueError("invalid generator spec")
+        for name, least in (("store_count", 0), ("pages", 1), ("run_length", 1), ("fence_interval", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"generator spec {name} must be >= {least}, got {getattr(self, name)}")
 
 
 def generate(spec: GenSpec) -> List[TraceEvent]:

@@ -1,17 +1,17 @@
 import pytest
 
-from nvmsim.caches import CacheConfig, MetadataCache
+from nvmsim.caches import MetadataCache, cache_sets
 
 
 def small_cache(**kw):
     # 4 sets x 2 ways
-    return MetadataCache(CacheConfig("t", capacity_bytes=8 * 64, associativity=2), **kw)
+    return MetadataCache(capacity_bytes=8 * 64, associativity=2, **kw)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CacheConfig("bad", capacity_bytes=100, associativity=8)
-    assert CacheConfig().num_sets == 128 * 1024 // (8 * 64)
+        MetadataCache(capacity_bytes=100, associativity=8)
+    assert cache_sets(128 * 1024, 8) == 128 * 1024 // (8 * 64)
 
 
 def test_repeat_access_hits():

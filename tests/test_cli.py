@@ -184,29 +184,35 @@ def test_missing_trace_file(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ("run", "--mac-latency", "-1", *BASE),
-        ("run", "--wpq-capacity", "0", *BASE),
-        ("run", "--arity", "1", *BASE),
-        ("run", "--cache-assoc", "0", *BASE),
-        ("run", "--mac-units", "-1", *BASE),
-        ("sweep", "--axis", "mac-latency", "--values", "a,b", *BASE),
-        ("sweep", "--axis", "cache-kb", "--values", "0", *BASE),
-        ("crash-sweep", "--omission-matrix", *BASE, "--gen-stores", "0"),
-        ("run", "--seed", "-1", *BASE),
-        ("run", "--seed", str(2**64), *BASE),
-        ("sweep", "--axis", "epoch-size", "--values", "-3", *BASE),
+        (("run", "--mac-latency", "-1", *BASE), ()),
+        (("run", "--wpq-capacity", "0", *BASE), ()),
+        (("run", "--arity", "1", *BASE), ("arity",)),
+        (("run", "--cache-assoc", "0", *BASE), ("cache_kb 128", "cache_assoc 0")),
+        (("run", "--mac-units", "-1", *BASE), ()),
+        (("sweep", "--axis", "mac-latency", "--values", "a,b", *BASE), ("'a,b'",)),
+        (("sweep", "--axis", "cache-kb", "--values", "0", *BASE), ("cache_kb 0", "cache_assoc 8")),
+        (("crash-sweep", "--omission-matrix", *BASE, "--gen-stores", "0"), ()),
+        (("run", "--seed", "-1", *BASE), ("seed",)),
+        (("run", "--seed", str(2**64), *BASE), ("seed",)),
+        (("sweep", "--axis", "epoch-size", "--values", "-3", *BASE), ("fence_interval", "got -3")),
+        (("run", "--cache-kb", "1", "--cache-assoc", "3", *BASE), ("cache_kb 1", "cache_assoc 3")),
+        (("run", "--epoch-size", "-1", *BASE), ("fence_interval", "got -1")),
+        (("run", "--gen-run-length", "0", *BASE), ("run_length", "got 0")),
     ],
     ids=["negative-mac-latency", "zero-wpq-capacity", "arity-one", "zero-cache-assoc",
          "negative-mac-units", "non-integer-sweep-values", "zero-cache-kb-sweep-value",
          "omission-matrix-without-stores", "negative-seed", "seed-above-64-bits",
-         "negative-epoch-size-sweep-value"],
+         "negative-epoch-size-sweep-value", "cache-kb-not-a-multiple-of-assoc", "negative-epoch-size",
+         "zero-gen-run-length"],
 )
-def test_bad_input_is_usage_error_with_message(capsys, argv):
+def test_bad_input_is_usage_error_with_message(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: ")
+    # a value out of range names its knob and the value
+    assert all(word in err for word in named), err
 
 
 @pytest.mark.parametrize(

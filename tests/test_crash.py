@@ -5,10 +5,13 @@ import pytest
 from nvmsim import (
     SCHEMES,
     CrashPlan,
+    GenSpec,
+    LatencyConfig,
     SimParams,
     Simulator,
     check_prefix_consistency,
     crash,
+    generate,
     parse,
     recover,
     run_until_idle,
@@ -57,7 +60,7 @@ def test_sp_mid_persist_crash_is_atomic():
 def test_nonexistent_persist_rejected():
     sim = run_sim("sequential", trace_text(page_addr(0)))
     with pytest.raises(ValueError):
-        crash(sim, CrashPlan("after-persist", persist_id=99))
+        crash(sim, CrashPlan("tuple-omission", persist_id=99, component="root"))
 
 
 def test_omission_matrix_rows():
@@ -112,7 +115,7 @@ def test_ep_boundary_crash_recovers_boundary_state(rng):
         snap = crash(sim, CrashPlan("epoch-boundary", epoch=epoch))
         report = recover(snap, sim.keys, sim.geometry)
         assert report.bmt_ok
-        assert not report.incomplete_epochs
+        assert not report.snapshot.incomplete_epochs
         assert report.plaintexts == sim.golden.state_at_epoch_end(epoch)
         res = check_prefix_consistency(report, sim.golden)
         assert res.ok and res.matched == epoch
@@ -149,7 +152,7 @@ def test_recovery_ignores_volatile_state(rng):
         handler(payload)
     cuts = (sim.clock // 2, sim.clock)
     before = [recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry) for cut in cuts]
-    assert any(r.incomplete_epochs for r in before)
+    assert any(r.snapshot.incomplete_epochs for r in before)
     # wreck every volatile structure, then recover again
     sim.counter_cache.flush_volatile()
     sim.bmt_cache.flush_volatile()
@@ -200,6 +203,37 @@ def test_adversarial_root_reorder_detected():
     res = check_prefix_consistency(report, sim.golden)
     assert not res.ok
     assert isinstance(res.violation, Violation)
+
+
+def verdict_at(params, spec, cut):
+    sim = Simulator(params, generate(spec))
+    run_until_idle(sim)
+    report = recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry)
+    return check_prefix_consistency(report, sim.golden)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="SP root register lands at the root commit, before the persist's tuple arrives")
+def test_sp_root_lands_no_earlier_than_its_tuple():
+    # with a MAC latency of 0 a root commits a cycle before its tuple arrives,
+    # so a cut between the two holds a root over a counter block not yet durable
+    params = SimParams(scheme="sequential", arity=2, levels=4, cache_kb=1, latency=LatencyConfig(
+        mac_latency=0, cache_hit=0, cache_fill=0, wpq_enqueue=1, drain_interval=1))
+    result = verdict_at(params, GenSpec(store_count=36, pages=8, run_length=2, fence_interval=3, seed=8), 1)
+    assert result.ok, result.violation  # fails with crash-recovery-tuple
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an older epoch's root update reads a node a younger, locked epoch committed")
+def test_ep_root_covers_no_locked_epoch():
+    # persist 24 (epoch 12) commits its leaf at 46, persist 23 (epoch 11, the
+    # sibling leaf) reads it from 47 and commits the root at 51, when epoch 11
+    # completes; persist 24 is durable only from its unlock at 52
+    params = SimParams(scheme="ooo", arity=2, levels=4, wpq_capacity=4, ptt_capacity=5, ett_capacity=4,
+                       mac_units=2, ideal_caches=True,
+                       latency=LatencyConfig(mac_latency=1, cache_hit=0, wpq_enqueue=0, drain_interval=1))
+    result = verdict_at(params, GenSpec(store_count=34, pages=8, run_length=1, fence_interval=2, seed=5846), 51)
+    assert result.ok, result.violation  # fails with tree root mismatch at a clean epoch boundary
 
 
 def test_report_serializable():

@@ -2,6 +2,7 @@ import random
 
 from nvmsim import LatencyConfig, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
 from nvmsim.bmt import BmtGeometry
+from nvmsim.engine import PttEntry, WpqEntry
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import dedup_update_count
@@ -24,8 +25,8 @@ def test_three_persist_merge_scenario():
     assert sim.stats["coalesce_pairs"] == 2
     base = run_sim("ooo", text)
     assert base.stats["node_updates"] == 12
-    assert sim.stats["root_updates"] == 1
-    assert base.stats["root_updates"] == 3
+    assert sim.stats_dict()["root_updates"] == 1
+    assert base.stats_dict()["root_updates"] == 3
 
 
 def test_same_page_pair_single_traversal():
@@ -33,14 +34,14 @@ def test_same_page_pair_single_traversal():
     sim = run_sim("coalesce", text)
     # one full leaf-to-root traversal plus the leading persist's leaf update
     assert sim.stats["node_updates"] == sim.geometry.levels + 1
-    assert sim.stats["root_updates"] == 1
+    assert sim.stats_dict()["root_updates"] == 1
 
 
 def test_disjoint_subtrees_share_only_root():
     text = trace_text(page_addr(0), page_addr(64))
     sim = run_sim("coalesce", text)
     assert sim.stats["node_updates"] == 2 * (sim.geometry.levels - 1) + 1
-    assert sim.stats["root_updates"] == 1
+    assert sim.stats_dict()["root_updates"] == 1
 
 
 def test_no_coalescing_across_epochs():
@@ -126,7 +127,7 @@ def test_chain_delegation_three_same_page():
     text = trace_text(page_addr(0, 1), page_addr(0, 2), page_addr(0, 3))
     sim = run_sim("coalesce", text)
     assert sim.stats["node_updates"] == sim.geometry.levels + 2
-    assert sim.stats["root_updates"] == 1
+    assert sim.stats_dict()["root_updates"] == 1
     assert sim.stats["coalesce_pairs"] == 2
 
 
@@ -167,3 +168,45 @@ def test_below_done_matches_the_update_log_at_every_event():
                     seen.add(entry.below_done)
         assert not sim.outstanding_persists()
     assert seen == {False, True}
+
+
+def three_branch_rule_pairs(prev, lca_level, levels):
+    """The pairing rule before it became one comparison: no pair with a
+    persisted predecessor, nor once its shallowest issued update is above
+    the merge level, or at it unless the merge point is the leaf."""
+    if prev.wpq.root_done_cycle is not None:
+        return False
+    if prev.next_idx > 0:
+        shallowest_issued = levels - (prev.next_idx - 1)
+        if shallowest_issued < lca_level:
+            return False
+        if shallowest_issued == lca_level and lca_level != levels:
+            return False
+    return True
+
+
+def test_pairing_rule_matches_the_three_branch_rule():
+    counts = {True: 0, False: 0}
+    for levels in range(2, 7):
+        sim = Simulator(SimParams(scheme="coalesce", arity=2, levels=levels, ideal_caches=True), [])
+        geometry = sim.geometry
+        paths = [geometry.update_path(geometry.leaf_for_page(page)) for page in range(geometry.leaf_count)]
+        for lca_level in range(1, levels + 1):
+            # the page whose leaf meets page 0's at lca_level
+            other = next(p for p in paths if geometry.merge_level(paths[0], p) == lca_level)
+            # every issued count, its last update in flight (so ``waiting`` is
+            # not touched), then a persisted predecessor that issued its root
+            for next_idx, persisted in [(n, False) for n in range(levels + 1)] + [(levels, True)]:
+                prev = PttEntry(0, 0, paths[0], WpqEntry(0, None, 0, 0, b"", None, b""), 0)
+                prev.next_idx, prev.inflight = next_idx, not persisted
+                prev.wpq.root_done_cycle = 0 if persisted else None
+                new = PttEntry(1, 0, other, WpqEntry(1, None, 0, 0, b"", None, b""), 0)
+                want = three_branch_rule_pairs(prev, lca_level, levels)
+                pairs_before = sim.stats["coalesce_pairs"]
+                sim.coalesce_pair(new, prev)
+                paired = sim.stats["coalesce_pairs"] > pairs_before
+                assert paired == want, (levels, lca_level, next_idx, persisted)
+                assert prev.gate_count == (levels - lca_level if paired else levels)
+                assert new.obligations == ([(lca_level, prev)] if paired else [])
+                counts[want] += 1
+    assert counts == {True: 60, False: 70}

@@ -104,7 +104,7 @@ def occupied_levels(sim):
             continue
         if entry.inflight:
             out.append((entry.epoch, levels - entry.next_idx + 1, True))
-        elif entry.next_idx <= entry.last_plan_idx:
+        elif entry.next_idx < (entry.gate_count or 1):
             out.append((entry.epoch, levels - entry.next_idx, False))
     return out
 

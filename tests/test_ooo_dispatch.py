@@ -39,7 +39,7 @@ def reference_ooo_dispatch(sim, now):
         # an unpersisted persist occupies the level of its update in
         # flight or, while its plan lasts, of the next one to issue
         idx = entry.next_idx - 1 if entry.inflight else entry.next_idx
-        if idx > entry.last_plan_idx:
+        if idx >= (entry.gate_count or 1):  # past its plan
             continue
         level = levels - idx
         deepest = max(deepest, level)
