@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Mapping, Optional
 
@@ -157,6 +157,12 @@ class BmtState:
         return self.node_value(0)
 
 
+@lru_cache(maxsize=1 << 15)  # one entry per distinct node payload, about 0.3 KB each
+def recovery_digest(payload: bytes, enc: bytes, mac: bytes) -> int:
+    """``hash_node`` memoized by its full input, the keys as raw bytes."""
+    return hash_node(payload, KeySet(enc, mac))
+
+
 def rebuild_from_counters(
     counters: Mapping[int, SplitCounter], geometry: BmtGeometry, keys: KeySet
 ) -> BmtState:
@@ -164,21 +170,20 @@ def rebuild_from_counters(
 
     This is the recovery path: interior nodes are never persisted, so the
     post-crash verifier recomputes them from whatever counters survived and
-    compares the resulting root against the root register.
+    compares the resulting root against the root register.  Leaf and
+    interior digests go through ``recovery_digest``, keyed by their payload
+    bytes and keys, so successive crash points reuse the subtrees they share;
+    the engine's ``compute_node`` path is not memoized.
     """
     state = BmtState(geometry, keys)
-    frontier = set()
-    for page in sorted(counters):
-        leaf = geometry.leaf_for_page(page)
-        state.apply_node_update(leaf, counters[page])
-        frontier.add(geometry.parent(leaf))
-    level = geometry.levels - 1
-    while level >= 1:
-        next_frontier = set()
-        for label in sorted(frontier):
-            state.apply_node_update(label)
-            if label > 0:
-                next_frontier.add(geometry.parent(label))
-        frontier = next_frontier
-        level -= 1
+    values, enc, mac = state.values, keys.enc, keys.mac
+    for page in counters:
+        values[geometry.leaf_for_page(page)] = recovery_digest(counters[page].to_block_bytes(), enc, mac)
+    frontier = {geometry.parent(leaf) for leaf in values}
+    for level in range(geometry.levels - 1, 0, -1):
+        default = state.default_value(level + 1)
+        for label in frontier:  # a level's nodes depend only on the level below
+            tags = map(values.get, geometry.children(label), repeat(default))
+            values[label] = recovery_digest(state._pack_tags(*tags), enc, mac)
+        frontier = {geometry.parent(label) for label in frontier if label > 0}
     return state

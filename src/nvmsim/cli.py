@@ -21,7 +21,7 @@ from typing import Optional
 from .crash import CrashPlan, check_prefix_consistency, crash, recover
 from .engine import SCHEMES, SimParams, Simulator
 from .timing import DeadlockError, LatencyConfig, run_until_idle
-from .trace import GenSpec, TraceParseError, generate, read_text, read_trace, refence, render, stores_in
+from .trace import GEN_MINIMUMS, GenSpec, TraceParseError, generate, read_text, read_trace, refence, render, stores_in
 
 ENV_PREFIX = "NVMSIM_"
 
@@ -51,7 +51,9 @@ class _RunConfigMethods:
 
     def __post_init__(self) -> None:
         self.sim_params()
-        self.gen_spec()
+        for name, spec in GEN_FIELDS.items():  # named as the user typed them, not as GenSpec's fields
+            if getattr(self, name) < GEN_MINIMUMS[spec]:
+                raise ValueError(f"{name} must be >= {GEN_MINIMUMS[spec]}, got {getattr(self, name)}")
 
     def sim_params(self) -> SimParams:
         values = {f.name: getattr(self, f.name) for f in fields(SimParams) if f.name != "latency"}

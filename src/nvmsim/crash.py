@@ -14,19 +14,33 @@ with the snapshot it judged; ``as_dict`` tags the snapshot's
 recovery observer: under strict persistency the recovered state must equal
 some prefix of the persist-order log; under epoch persistency it must match
 the last completed epoch boundary outside the crashed epoch's footprint.
+Durable state only grows as the cut moves later, so recovery memoizes block
+openings and tree digests by their full inputs in bounded LRU memos; every
+check still runs at every point, and the engine's tree path is not memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .bmt import BmtGeometry, rebuild_from_counters
 from .crypto import KeySet, open_block
-from .model_core import BLOCK_SIZE, GoldenMemory, PAGE_SIZE
+from .model_core import BLOCK_SIZE, BLOCKS_PER_PAGE, GoldenMemory, PAGE_SIZE
 
 CRASH_MODES = ("at-cycle", "epoch-boundary", "tuple-omission")
 TUPLE_COMPONENTS = ("ciphertext", "counter", "mac", "root")
+# a block's verdict, indexed by its failures as bits in this order
+_VERDICTS = tuple(frozenset(name for bit, name in enumerate(("wrong-plaintext", "mac-failure", "bmt-failure"))
+                            if i >> bit & 1) for i in range(8))
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
+
+
+@lru_cache(maxsize=1 << 14)  # one entry per distinct durable block image, about 0.4 KB each
+def open_durable(ciphertext: bytes, addr: int, counter: tuple, enc: bytes, mac: bytes) -> tuple:
+    """``open_block`` memoized by its full input, the keys as raw bytes."""
+    return open_block(ciphertext, addr, counter, KeySet(enc, mac))
 
 
 @dataclass(frozen=True)
@@ -214,23 +228,24 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
     checked over (ciphertext, address, counter) and the block decrypted.
     The wrong-plaintext verdict compares against the recorded write the
     durable image claims to hold - an oracle label for tests, not an input
-    any real recovery would have.
+    any real recovery would have.  Blocks are opened through
+    ``open_durable``, keyed by their full input, so a tampered ciphertext,
+    counter or key is a new entry; every comparison runs on every call.
     """
     bmt_ok = rebuild_from_counters(snapshot.counters, geometry, keys).root() == snapshot.root_register
 
+    bmt_bit = 0 if bmt_ok else 4
+    enc, mac = keys.enc, keys.mac
     verdicts: dict = {}
     plaintexts: dict = {}
     for addr, expected in sorted(snapshot.expected_plain.items()):
         # a block whose new ciphertext never persisted reads as NVMM zeros
-        ciphertext = snapshot.data.get(addr, b"\x00" * BLOCK_SIZE)
-        page = addr // PAGE_SIZE
-        block_in_page = (addr // BLOCK_SIZE) % (PAGE_SIZE // BLOCK_SIZE)
+        ciphertext = snapshot.data.get(addr, _ZERO_BLOCK)
+        page, block_in_page = divmod(addr // BLOCK_SIZE, BLOCKS_PER_PAGE)
         ctr_block = snapshot.counters.get(page)
         counter = ctr_block.effective(block_in_page) if ctr_block else (0, 0)
-        plain, tag = open_block(ciphertext, addr, counter, keys)
-        failed = {"wrong-plaintext": plain != expected, "mac-failure": snapshot.macs.get(addr) != tag,
-                  "bmt-failure": not bmt_ok}
-        verdicts[addr] = frozenset(name for name, bad in failed.items() if bad)
+        plain, tag = open_durable(ciphertext, addr, counter, enc, mac)
+        verdicts[addr] = _VERDICTS[(plain != expected) | (snapshot.macs.get(addr) != tag) << 1 | bmt_bit]
         plaintexts[addr] = plain
 
     return RecoveryReport(

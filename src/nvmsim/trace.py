@@ -101,6 +101,10 @@ def render(events: Iterable[TraceEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# the least valid value of each GenSpec knob
+GEN_MINIMUMS = {"store_count": 0, "pages": 1, "run_length": 1, "fence_interval": 0}
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Synthetic workload knobs.
@@ -118,7 +122,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("store_count", 0), ("pages", 1), ("run_length", 1), ("fence_interval", 0)):
+        for name, least in GEN_MINIMUMS.items():
             if getattr(self, name) < least:
                 raise ValueError(f"generator spec {name} must be >= {least}, got {getattr(self, name)}")
 

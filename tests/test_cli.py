@@ -196,16 +196,19 @@ def test_missing_trace_file(capsys):
         (("crash-sweep", "--omission-matrix", *BASE, "--gen-stores", "0"), ()),
         (("run", "--seed", "-1", *BASE), ("seed",)),
         (("run", "--seed", str(2**64), *BASE), ("seed",)),
-        (("sweep", "--axis", "epoch-size", "--values", "-3", *BASE), ("fence_interval", "got -3")),
+        (("sweep", "--axis", "epoch-size", "--values", "-3", *BASE), ("epoch_size", "got -3")),
         (("run", "--cache-kb", "1", "--cache-assoc", "3", *BASE), ("cache_kb 1", "cache_assoc 3")),
-        (("run", "--epoch-size", "-1", *BASE), ("fence_interval", "got -1")),
-        (("run", "--gen-run-length", "0", *BASE), ("run_length", "got 0")),
+        (("run", "--epoch-size", "-1", *BASE), ("epoch_size", "got -1")),
+        (("run", "--gen-run-length", "0", *BASE), ("gen_run_length", "got 0")),
+        (("run", *BASE, "--gen-pages", "0"), ("gen_pages", "got 0")),
+        (("run", *BASE, "--gen-stores", "-1"), ("gen_stores", "got -1")),
+        (("gen-trace", "--gen-pages", "-2"), ("gen_pages", "got -2")),
     ],
     ids=["negative-mac-latency", "zero-wpq-capacity", "arity-one", "zero-cache-assoc",
          "negative-mac-units", "non-integer-sweep-values", "zero-cache-kb-sweep-value",
          "omission-matrix-without-stores", "negative-seed", "seed-above-64-bits",
          "negative-epoch-size-sweep-value", "cache-kb-not-a-multiple-of-assoc", "negative-epoch-size",
-         "zero-gen-run-length"],
+         "zero-gen-run-length", "zero-gen-pages", "negative-gen-stores", "gen-trace-negative-gen-pages"],
 )
 def test_bad_input_is_usage_error_with_message(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -213,6 +216,8 @@ def test_bad_input_is_usage_error_with_message(capsys, argv, named):
     assert err.startswith("usage error: ")
     # a value out of range names its knob and the value
     assert all(word in err for word in named), err
+    # a generator knob is named as typed, never by its GenSpec field
+    assert "generator spec" not in err, err
 
 
 @pytest.mark.parametrize(
