@@ -105,6 +105,22 @@ class BmtGeometry:
 _ZERO_COUNTER_BLOCK = SplitCounter().to_block_bytes()
 
 
+@lru_cache(maxsize=64)
+def _default_digests(geometry: BmtGeometry, enc: bytes, mac: bytes) -> tuple:
+    """Value of an untouched node at each level (index 0 unused), computed
+    once per tree shape and key pair: every ``BmtState`` of a run, and every
+    tree a crash sweep rebuilds, starts from the same defaults."""
+    keys = KeySet(enc, mac)
+    pack = struct.Struct(f"<{geometry.arity}Q").pack
+    # leaves first; a loop, not recursion, so any depth works
+    value = hash_node(_ZERO_COUNTER_BLOCK, keys)
+    defaults = [value]
+    for _ in range(geometry.levels - 1):
+        value = hash_node(pack(*[value] * geometry.arity), keys)
+        defaults.append(value)
+    return (None, *reversed(defaults))
+
+
 class BmtState:
     """Sparse node values plus the always-persistent root register."""
 
@@ -114,13 +130,8 @@ class BmtState:
         self.values: dict = {}
         # one little-endian 8-byte tag (crypto.TAG_BYTES) per child
         self._pack_tags = struct.Struct(f"<{geometry.arity}Q").pack
-        # defaults by level, leaves first; a loop, not recursion, so any depth works
-        value = hash_node(_ZERO_COUNTER_BLOCK, keys)
-        self._defaults = {geometry.levels: value}
-        for level in range(geometry.levels - 1, 0, -1):
-            value = hash_node(self._pack_tags(*[value] * geometry.arity), keys)
-            self._defaults[level] = value
-        self.root_register = value
+        self._defaults = _default_digests(geometry, keys.enc, keys.mac)  # by level, root first
+        self.root_register = self._defaults[1]
 
     def default_value(self, level: int) -> int:
         """Value of any untouched node at `level` (all-zero-counter subtree)."""
@@ -132,15 +143,16 @@ class BmtState:
             return stored
         return self.default_value(self.geometry.level_of(label))
 
-    def compute_node(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
+    def compute_node(self, label: int, leaf_block: Optional[bytes] = None) -> int:
         """Recompute a node's value from its current children, or a leaf's
-        from ``counter_block``, which the caller passes for every leaf.
+        from ``leaf_block``, its counter block in ``SplitCounter.to_block_bytes``
+        layout, which the caller passes for every leaf.
 
         Reads happen here, at issue time; committing the value is separate
         so overlapped updates observe pre-update children.
         """
         if self.geometry.is_leaf(label):
-            return hash_node(counter_block.to_block_bytes(), self.keys)
+            return hash_node(leaf_block, self.keys)
         default = self.default_value(self.geometry.level_of(label) + 1)
         tags = map(self.values.get, self.geometry.children(label), repeat(default))
         return hash_node(self._pack_tags(*tags), self.keys)
@@ -149,7 +161,7 @@ class BmtState:
         self.values[label] = value
 
     def apply_node_update(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
-        value = self.compute_node(label, counter_block)
+        value = self.compute_node(label, counter_block and counter_block.to_block_bytes())
         self.commit_node(label, value)
         return value
 

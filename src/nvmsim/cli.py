@@ -156,7 +156,7 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
     results = {"config_hash": config.config_hash(), "points": 0, "violations": []}
 
     if omission_matrix:
-        if not sim.wpq_entries:
+        if not len(sim.record):
             raise UsageError("the omission matrix needs a trace with at least one store")
         expected = {
             "root": {"bmt-failure"},
@@ -164,21 +164,22 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
             "counter": {"wrong-plaintext", "mac-failure", "bmt-failure"},
             "ciphertext": {"wrong-plaintext", "mac-failure"},
         }
-        target = sim.wpq_entries[-1]
+        target = len(sim.record) - 1
+        completed = sim.record.complete[target]
         # the cut is the target's completion; when that falls inside its epoch,
         # the epoch's other root effects fail the tree check on their own
-        exact = not sim.is_ep or sim.epoch_completion.get(target.epoch) == target.complete_cycle
+        exact = not sim.is_ep or sim.epoch_completion.get(sim.record.epoch[target]) == completed
         # the target's root write can repeat a register value another persist
         # of its epoch already wrote; dropping it then leaves nothing to detect
-        register = crash(sim, CrashPlan("at-cycle", cycle=target.complete_cycle)).root_register
+        register = crash(sim, CrashPlan("at-cycle", cycle=completed)).root_register
         matrix = {}
         for comp, want in expected.items():
-            snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=target.pid, component=comp))
+            snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=target, component=comp))
             row = {}
             if comp == "root":
                 row["root_register_changed"] = snapshot.root_register != register
                 want = want if row["root_register_changed"] else set()
-            got = recover(snapshot, sim.keys, sim.geometry).verdict_set(target.addr.value)
+            got = recover(snapshot, sim.keys, sim.geometry).verdict_set(sim.record.addr[target])
             match = got == want if exact else want <= got
             matrix[comp] = row | {
                 "expected": sorted(want),

@@ -21,13 +21,16 @@ check still runs at every point, and the engine's tree path is not memoized.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import floordiv
 from typing import Optional
 
 from .bmt import BmtGeometry, rebuild_from_counters
 from .crypto import KeySet, open_block
-from .model_core import BLOCK_SIZE, BLOCKS_PER_PAGE, GoldenMemory, PAGE_SIZE
+from .model_core import BLOCK_SIZE, BLOCKS_PER_PAGE, NEVER, PAGE_SIZE, GoldenMemory
 
 CRASH_MODES = ("at-cycle", "epoch-boundary", "tuple-omission")
 TUPLE_COMPONENTS = ("ciphertext", "counter", "mac", "root")
@@ -134,15 +137,21 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
     if plan.mode == "at-cycle":
         return plan.cycle
     if plan.mode == "tuple-omission":
-        if plan.persist_id is None or plan.persist_id >= len(sim.wpq_entries):
+        if plan.persist_id is None or not 0 <= plan.persist_id < len(sim.record):
             raise ValueError(f"no such persist: {plan.persist_id}")
-        cycle = sim.wpq_entries[plan.persist_id].complete_cycle
-        if cycle is None:
+        cycle = sim.record.complete[plan.persist_id]
+        if cycle == NEVER:
             raise ValueError(f"persist {plan.persist_id} never completed")
         return cycle
     if plan.epoch not in sim.epoch_completion:
         raise ValueError(f"epoch {plan.epoch} never completed")
     return sim.epoch_completion[plan.epoch]
+
+
+def _last_writes(keys: list, values: list, pids: list) -> dict:
+    """``{keys[pid]: values[pid]}`` over ``pids`` in ascending order, so each
+    key holds what the last of them writing it left."""
+    return dict(zip(map(keys.__getitem__, pids), map(values.__getitem__, pids)))
 
 
 def crash(sim, plan: CrashPlan) -> DurableSnapshot:
@@ -152,59 +161,59 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     caches, tracking tables) is left out.  An entry survives if and only if
     its ``durable_cycle`` is not after the cut, so a cut is defined for the
     cycles the run has fully processed.  In tuple-omission mode the named
-    component of the named persist is deleted after the cut.
+    component of the named persist is deleted after the cut.  The fold
+    reads the run's persist record column by column: each block, page and
+    register holds what its highest durable writer left.
     """
     cut = _resolve_cut(sim, plan)
-    omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else None
+    omitted, skip = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else (None, None)
+    is_ep, record, golden = sim.is_ep, sim.record, sim.golden
 
-    is_ep = sim.is_ep
-    data: dict = {}
-    counters: dict = {}
-    macs: dict = {}
-    expected_plain: dict = {}  # its keys are the touched blocks
-    cut_epochs: set = set()  # epochs with a durable tuple or a root effect by the cut
+    # the three components arrive together, so they are durable together;
+    # a cycle column holds NEVER, which no cut reaches, until its event happens
+    durable = [pid for pid, cycle in enumerate(record.durable) if cycle <= cut]
+    end = durable[-1] + 1 if durable else 0
+    addrs = record.addr[:end].tolist()
+    # the omitted component keeps what the persist's earlier durable writers left
+    kept = [pid for pid in durable if pid != omitted] if skip else durable
 
-    for entry in sim.wpq_entries:
-        # the three components arrive together, so they are durable together
-        durable = entry.durable_cycle
-        if durable is None or durable > cut:
-            continue
-        cut_epochs.add(entry.epoch)
-        skip = omitted[1] if omitted is not None and entry.pid == omitted[0] else None
-        addr = entry.addr.value
-        # touched even with one component omitted: ciphertext or MAC is durable
-        expected_plain[addr] = sim.golden.log[entry.pid].plaintext
-        if skip != "ciphertext":
-            data[addr] = entry.ciphertext
-        if skip != "counter":
-            counters[entry.addr.page] = entry.counter_block
-        if skip != "mac":
-            macs[addr] = entry.mac
+    # touched even with one component omitted: its ciphertext or MAC is durable
+    expected_plain = _last_writes(addrs, golden.plain.blocks(end), durable)
+    data = _last_writes(addrs, record.ciphertext.blocks(end), kept if skip == "ciphertext" else durable)
+    macs = _last_writes(addrs, record.mac[:end].tolist(), kept if skip == "mac" else durable)
+    counters = _last_writes(list(map(floordiv, addrs, repeat(PAGE_SIZE))), record.counter_block.blocks(end),
+                            kept if skip == "counter" else durable)
 
-    root_register = sim.bmt.default_value(1)
-    for cycle, pid, value in sim.root_history:
-        if cycle > cut:
-            break
-        if omitted is not None and pid == omitted[0] and omitted[1] == "root":
-            continue
-        root_register = value
-        # a root effect from a still-running epoch marks it in flight even
-        # when none of its tuple components became durable yet
-        cut_epochs.add(sim.wpq_entries[pid].epoch)
+    # root updates commit in cycle order: those by the cut are a prefix
+    roots = bisect_right(record.root_cycle, cut)
+    root_pids = record.root_pid[:roots]
+    if skip == "root":
+        kept = [i for i in range(roots) if root_pids[i] != omitted]
+        root_register = record.root_value[kept[-1]] if kept else sim.bmt.default_value(1)
+        root_pids = [root_pids[i] for i in kept]
+    else:
+        root_register = record.root_value[roots - 1] if roots else sim.bmt.default_value(1)
 
-    completed_epochs = {e for e, c in sim.epoch_completion.items() if c <= cut} if is_ep else set()
-    incomplete_epochs = cut_epochs - completed_epochs if is_ep else set()
-
+    completed_epochs: set = set()
+    incomplete_epochs: set = set()
     excluded_addrs: set = set()
-    if incomplete_epochs:
+    if is_ep:
+        epochs = record.epoch.tolist()
+        completed_epochs = {e for e, c in sim.epoch_completion.items() if c <= cut}
+        # epochs with a durable tuple or a root effect by the cut: a root
+        # effect from a still-running epoch marks it in flight even when
+        # none of its tuple components became durable yet
+        cut_epochs = set(map(epochs.__getitem__, durable)) | set(map(epochs.__getitem__, root_pids))
+        incomplete_epochs = cut_epochs - completed_epochs
         tainted_pages = set()
-        for entry in sim.wpq_entries:
-            if entry.epoch in incomplete_epochs and entry.submit_cycle <= cut:
-                excluded_addrs.add(entry.addr.value)
-                tainted_pages.add(entry.addr.page)
-        for addr in expected_plain:
-            if addr // PAGE_SIZE in tainted_pages:
-                excluded_addrs.add(addr)
+        submit, addr_of = record.submit, record.addr
+        for epoch in incomplete_epochs:  # an epoch's persists are consecutive
+            for pid in range(bisect_left(epochs, epoch), bisect_right(epochs, epoch)):
+                if submit[pid] <= cut:
+                    excluded_addrs.add(addr_of[pid])
+                    tainted_pages.add(addr_of[pid] // PAGE_SIZE)
+        if tainted_pages:
+            excluded_addrs.update(addr for addr in expected_plain if addr // PAGE_SIZE in tainted_pages)
 
     return DurableSnapshot(
         crash_cycle=cut,
@@ -256,6 +265,38 @@ def recover(snapshot: DurableSnapshot, keys: KeySet, geometry: BmtGeometry) -> R
     )
 
 
+def _first_matching_prefix(target: dict, golden: GoldenMemory) -> Optional[int]:
+    """The shortest persist-log prefix whose plaintext state equals
+    ``target``, or None.  A prefix's addresses only grow, so no prefix
+    matches before the first that writes every target address, nor once
+    one writes another address; from there on, each write changes whether
+    its own address matches."""
+    if not target:
+        return 0
+    plain = golden.plain.blocks(len(golden))
+    state: dict = {}
+    size = len(target)
+    for pid, addr in enumerate(golden.addr):
+        state[addr] = plain[pid]
+        if len(state) == size:
+            break
+    if state.keys() != target.keys():  # the log ended first, or wrote another address
+        return None
+    if state == target:
+        return pid + 1
+    differ = sum(state[addr] != want for addr, want in target.items())  # addresses whose state differs
+    for pid in range(pid + 1, len(golden)):
+        addr = golden.addr[pid]
+        if addr not in target:
+            return None
+        want = target[addr]
+        differ += (plain[pid] != want) - (state[addr] != want)
+        state[addr] = plain[pid]
+        if not differ:
+            return pid + 1
+    return None
+
+
 def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> ConsistencyResult:
     """The crash recovery observer's pass/fail call.
 
@@ -276,16 +317,10 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
                         f"block 0x{addr:x} failed {sorted(failures)} at a plain crash point",
                     ),
                 )
-        target = report.plaintexts
-        state: dict = {}
-        if state == target:
-            report.matched_prefix = 0
-            return ConsistencyResult(True, matched=0)
-        for i, rec in enumerate(golden.log, start=1):
-            state[rec.addr.value] = rec.plaintext
-            if state == target:
-                report.matched_prefix = i
-                return ConsistencyResult(True, matched=i)
+        matched = _first_matching_prefix(report.plaintexts, golden)
+        if matched is not None:
+            report.matched_prefix = matched
+            return ConsistencyResult(True, matched=matched)
         return ConsistencyResult(
             False,
             violation=Violation(

@@ -53,6 +53,16 @@ moves up; that sets ``older`` of the epochs after it.  A WPQ entry
 survives power loss from its ``durable_cycle``, when it may drain: under
 SP once its tuple completed, under EP at the later of its arrival and its
 epoch's unlock.
+
+What a run keeps of each persist is one 200-byte row of the columnar
+``PersistRecord`` (six cycles, address, epoch, ciphertext, counter block
+and MAC), its 64-byte plaintext in the golden log, a 24-byte record per
+node update and 24 bytes per root update.  Only the tracking tables hold
+objects, one ``PttEntry`` per persist still climbing the tree, so no
+per-persist object outlives its persist.  ``wpq_entries``,
+``root_history`` and ``golden.log`` read the columns as read-only
+``Rows`` of ``WpqEntry`` views, tuples and ``StoreRecord``s; crash folding
+and recovery checks read the columns themselves.
 """
 
 from __future__ import annotations
@@ -61,15 +71,16 @@ from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
 from .caches import MetadataCache, cache_sets
 from .crypto import KeySet, encrypt, mac_tag, payload_block
-from .model_core import BLOCK_SIZE, GoldenMemory, SplitCounter
+from .model_core import BLOCK_SIZE, NEVER, PAGE_SIZE, BlockAddr, BlockColumn, GoldenMemory, Rows, SplitCounter
 from .timing import (
     ARRIVAL,
     DRAIN,
@@ -128,43 +139,109 @@ class SimParams:
         return BmtGeometry(self.arity, self.levels)
 
 
-class WpqEntry:
-    """One write-pending-queue slot: the gathering point of a memory tuple.
-    Its three components are ready at one cycle and arrive together."""
+class PersistRecord:
+    """Every persist's history, one column per field, indexed by pid.
 
-    __slots__ = (
-        "pid",
-        "addr",
-        "epoch",
-        "submit_cycle",
-        "ciphertext",
-        "counter_block",
-        "mac",
-        "arrival_cycle",
-        "root_done_cycle",
-        "complete_cycle",
-        "drained_cycle",
-        "durable_cycle",
-    )
+    ``submit`` holds the submission cycle.  The other cycle columns hold
+    ``NEVER``, a cycle no cut reaches, until their event happens: the
+    tuple's ``arrival`` in the WPQ (its three components are ready at one
+    cycle and arrive together), its root effect (``root_done``), its
+    completion, ``durable`` (queued to drain: it survives power loss from
+    here on) and its drain.  ``addr`` and ``epoch`` are the golden log's
+    own columns.  ``ciphertext`` and ``counter_block`` are
+    ``BlockColumn``s, the counter block the ``SplitCounter`` snapshot the
+    persist carried, in ``to_block_bytes`` layout; ``mac`` holds the tags.
+    The root history is three more columns, one row per root update in
+    commit order.
+    """
 
-    def __init__(self, pid, addr, epoch, submit_cycle, ciphertext, counter_block, mac):
-        self.pid = pid
-        self.addr = addr
-        self.epoch = epoch
-        self.submit_cycle = submit_cycle
-        self.ciphertext = ciphertext
-        self.counter_block = counter_block  # SplitCounter snapshot carried by this persist
-        self.mac = mac
-        self.arrival_cycle = None
-        self.root_done_cycle = None
-        self.complete_cycle = None
-        self.drained_cycle = None
-        self.durable_cycle = None  # queued to drain: survives power loss from here on
+    __slots__ = ("addr", "epoch", "submit", "arrival", "root_done", "complete", "durable", "drained",
+                 "ciphertext", "counter_block", "mac", "root_cycle", "root_pid", "root_value")
+
+    def __init__(self, golden: GoldenMemory) -> None:
+        self.addr, self.epoch = golden.addr, golden.epoch
+        self.submit, self.arrival, self.root_done = array("q"), array("q"), array("q")
+        self.complete, self.durable, self.drained = array("q"), array("q"), array("q")
+        self.ciphertext, self.mac = BlockColumn(), array("Q")
+        self.counter_block = BlockColumn(SplitCounter.from_block_bytes)
+        self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
+
+    def append(self, submit: int, ciphertext: bytes, counter_block: bytes, mac: int) -> None:
+        """A new persist, after the golden log took its address and epoch."""
+        self.submit.append(submit)
+        self.arrival.append(NEVER)
+        self.root_done.append(NEVER)
+        self.complete.append(NEVER)
+        self.durable.append(NEVER)
+        self.drained.append(NEVER)
+        self.ciphertext.data += ciphertext
+        self.counter_block.data += counter_block
+        self.mac.append(mac)
+
+    def __len__(self) -> int:
+        return len(self.submit)
+
+    def root_row(self, i: int) -> tuple:
+        return (self.root_cycle[i], self.root_pid[i], self.root_value[i])
+
+
+def _cycle(column: str) -> property:
+    """A cycle column of the record read as an attribute: None until it happens."""
+    get = attrgetter(column)
+
+    def read(view):
+        cycle = get(view[0])[view[1]]
+        return None if cycle == NEVER else cycle
+    return property(read)
+
+
+class WpqEntry(tuple):
+    """One persist's row of the record, read-only: ``Simulator.wpq_entries``
+    builds one on each read, with the attribute names of the write-pending
+    queue slot that gathered the persist's memory tuple.  It is the pair
+    ``(record, pid)``, so two views of one row are equal."""
+
+    __slots__ = ()
+
+    def __new__(cls, record: PersistRecord, pid: int) -> "WpqEntry":
+        return tuple.__new__(cls, (record, pid))
+
+    pid = property(itemgetter(1))
+    submit_cycle = _cycle("submit")
+    arrival_cycle = _cycle("arrival")
+    root_done_cycle = _cycle("root_done")
+    complete_cycle = _cycle("complete")
+    durable_cycle = _cycle("durable")
+    drained_cycle = _cycle("drained")
+
+    @property
+    def addr(self) -> BlockAddr:
+        return BlockAddr(self[0].addr[self[1]])
+
+    @property
+    def epoch(self) -> int:
+        return self[0].epoch[self[1]]
+
+    @property
+    def ciphertext(self) -> bytes:
+        return self[0].ciphertext[self[1]]
+
+    @property
+    def counter_block(self) -> SplitCounter:
+        return self[0].counter_block[self[1]]
+
+    @property
+    def mac(self) -> int:
+        return self[0].mac[self[1]]
 
     @property
     def arrivals(self) -> dict:
-        """Arrival cycle of each component (read-only view)."""
-        return {} if self.arrival_cycle is None else dict.fromkeys(COMPONENTS, self.arrival_cycle)
+        """Arrival cycle of each component."""
+        arrival = self.arrival_cycle
+        return {} if arrival is None else dict.fromkeys(COMPONENTS, arrival)
+
+    def __repr__(self) -> str:
+        return f"WpqEntry(pid={self[1]})"
 
 
 class PttEntry:
@@ -174,7 +251,7 @@ class PttEntry:
         "pid",
         "epoch",
         "path",
-        "wpq",
+        "leaf_block",
         "ready_cycle",
         "next_idx",
         "inflight",
@@ -184,11 +261,11 @@ class PttEntry:
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, path, wpq, ready_cycle):
+    def __init__(self, pid, epoch, path, leaf_block, ready_cycle):
         self.pid = pid
         self.epoch = epoch
         self.path = path  # update path, leaf first: one node per level
-        self.wpq = wpq  # its root_done_cycle is set once the persist has persisted
+        self.leaf_block = leaf_block  # the counter block its leaf update hashes, as bytes
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
@@ -246,15 +323,16 @@ class Simulator:
         self.current_epoch = 0  # global epoch counter
         self.page_ready: dict = {}
 
-        self.wpq_entries: list = []  # by pid; those not drained yet occupy the WPQ
+        self.record = PersistRecord(self.golden)
+        # read-only views of the record: those not drained yet occupy the WPQ
+        self.wpq_entries = Rows(self.record.__len__, partial(WpqEntry, self.record))
+        self.root_history = Rows(self.record.root_cycle.__len__, self.record.root_row)  # (cycle, pid, value)
         self.ptt_order: deque = deque()
         self.epochs: list = []  # EttEntry per epoch with members, oldest first
         self.open_idx = 0  # epochs[:open_idx] have completed; epochs[open_idx:] is the live ETT
         self.epoch_completion: dict = {}  # epoch -> completion cycle
 
-        self.root_history: list = []  # (cycle, pid, value)
-        self._updates = array("q")  # (start, end, pid, level) per node update
-        self._update_view = (0, ())  # (record count, update_log built from it)
+        self._updates = array("q")  # (start, end, pid * levels + level - 1) per node update
 
         # scheduler state; the policy is a plain function, called as
         # self._dispatch(self, now), so no bound method refers back to self
@@ -275,7 +353,7 @@ class Simulator:
         self._submit_waiting = False
         self._stall_start = None  # (cycle, causes)
 
-        self.stats = {  # persists_submitted and root_updates are read off wpq_entries and root_history
+        self.stats = {  # persists_submitted and root_updates are read off the record
             "persists_completed": 0,
             "node_updates": 0,
             "coalesce_pairs": 0,
@@ -306,7 +384,7 @@ class Simulator:
         epoch = self.current_epoch
 
         causes = []
-        if len(self.wpq_entries) - self.stats["drains"] >= self.params.wpq_capacity:
+        if len(self.record.submit) - self.stats["drains"] >= self.params.wpq_capacity:
             causes.append("wpq_full")
         if len(self.ptt_order) >= self.params.ptt_capacity:
             causes.append("ptt_full")
@@ -352,8 +430,8 @@ class Simulator:
         ciphertext = encrypt(payload, addr, counter, self.keys)
         mac = mac_tag(ciphertext, addr, counter, self.keys)
 
-        wpq = WpqEntry(pid, addr, epoch, now, ciphertext, new_block, mac)
-        self.wpq_entries.append(wpq)
+        leaf_block = new_block.to_block_bytes()
+        self.record.append(now, ciphertext, leaf_block, mac)
 
         # counter block access decides when the new counter (and thus the
         # leaf update and tuple components) is available; bumps to one page
@@ -370,7 +448,7 @@ class Simulator:
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
         path = self.geometry.update_path(self.geometry.leaf_for_page(page))
-        entry = PttEntry(pid, epoch, path, wpq, ready)
+        entry = PttEntry(pid, epoch, path, leaf_block, ready)
         self.ptt_order.append(entry)
         if self.is_ep:
             if not self.epochs or self.epochs[-1].epoch != epoch:
@@ -452,7 +530,7 @@ class Simulator:
         self._issues_this_cycle += 1
 
         # the carried counter block is read only when `label` is the leaf
-        value = self.bmt.compute_node(label, entry.wpq.counter_block)
+        value = self.bmt.compute_node(label, entry.leaf_block)
 
         hit = self.bmt_cache.access(label)
         if hit:
@@ -490,7 +568,7 @@ class Simulator:
                 self._committed_now.add(label)
         self.stats["node_updates"] += 1
         if self.params.event_log:
-            self._updates.extend((start, now, entry.pid, level))
+            self._updates.extend((start, now, entry.pid * self.geometry.levels + level - 1))
 
         entry.inflight = False
         self.inflight_updates -= 1
@@ -506,7 +584,10 @@ class Simulator:
 
         if label == 0:
             self.bmt.root_register = value
-            self.root_history.append((now, entry.pid, value))
+            record = self.record
+            record.root_cycle.append(now)
+            record.root_pid.append(entry.pid)
+            record.root_value.append(value)
             self._mark_persisted(entry, now)
 
         # a trailing persist passing a merge point releases its leader
@@ -522,14 +603,15 @@ class Simulator:
         self._dispatch(self, now)
 
     def _mark_persisted(self, entry: PttEntry, now: int) -> None:
-        wpq = entry.wpq  # marked once: a leader stops below its merge point, in one obligation list
-        wpq.root_done_cycle = now
+        # marked once: a leader stops below its merge point, in one obligation list
+        self.record.root_done[entry.pid] = now
         self._dealloc_ptt(now)
-        self._check_complete(wpq, now)
+        self._check_complete(entry.pid, now)
 
     def _dealloc_ptt(self, now: int) -> None:
         freed = False
-        while self.ptt_order and self.ptt_order[0].wpq.root_done_cycle is not None:
+        root_done = self.record.root_done
+        while self.ptt_order and root_done[self.ptt_order[0].pid] != NEVER:
             self.ptt_order.popleft()
             freed = True
         if freed:
@@ -559,7 +641,7 @@ class Simulator:
             return
         if head.next_idx == 0:
             # a fresh head waits for its predecessor's whole tuple
-            if head.pid and self.wpq_entries[head.pid - 1].complete_cycle is None:
+            if head.pid and self.record.complete[head.pid - 1] == NEVER:
                 return
             if head.ready_cycle > now:
                 self._schedule_kick(head.ready_cycle)
@@ -633,24 +715,24 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _ev_arrival(self, pid) -> None:
-        wpq = self.wpq_entries[pid]
-        wpq.arrival_cycle = self.clock
-        self._check_complete(wpq, self.clock)
+        self.record.arrival[pid] = self.clock
+        self._check_complete(pid, self.clock)
         if self.is_ep:
-            self._maybe_drain(wpq, self.clock)
+            self._maybe_drain(pid, self.clock)
 
-    def _check_complete(self, wpq: WpqEntry, now: int) -> None:
-        if wpq.arrival_cycle is None or wpq.root_done_cycle is None:
+    def _check_complete(self, pid: int, now: int) -> None:
+        record = self.record
+        if record.arrival[pid] == NEVER or record.root_done[pid] == NEVER:
             return
-        wpq.complete_cycle = now
+        record.complete[pid] = now
         self.stats["persists_completed"] += 1
         if self.is_ep:
             # an epoch with an incomplete member is live
-            ett = self.epochs[bisect_left(self.epochs, wpq.epoch, self.open_idx, key=_EPOCH)]
+            ett = self.epochs[bisect_left(self.epochs, record.epoch[pid], self.open_idx, key=_EPOCH)]
             ett.incomplete -= 1
             self._epoch_maybe_complete(ett, now)
         else:
-            self._queue_drain(wpq, now)  # under SP a completed tuple may drain
+            self._queue_drain(pid, now)  # under SP a completed tuple may drain
         if self.scheme == "sequential":
             self._dispatch(self, now)  # the next persist may start now
 
@@ -670,8 +752,7 @@ class Simulator:
         self.epoch_completion[ett.epoch] = now
         self.open_idx += 1
         self._wake_submit(now)
-        for pid in range(ett.first_pid, ett.end_pid):
-            self._maybe_drain(self.wpq_entries[pid], now)
+        self._drain_arrived(ett, now)
         # the waiting persists dispatch at now + 1 before that cycle's unlock sweep,
         # whose drains or completion may admit a store that takes a MAC unit first
         self._schedule_kick(now + 1)
@@ -683,8 +764,7 @@ class Simulator:
         ett = self.epochs[self.open_idx]
         # it unlocks now: its arrived entries drain, and it may have been
         # waiting only on its unlock to complete
-        for pid in range(ett.first_pid, ett.end_pid):
-            self._maybe_drain(self.wpq_entries[pid], self.clock)
+        self._drain_arrived(ett, self.clock)
         self._epoch_maybe_complete(ett, self.clock)
 
     @property
@@ -708,18 +788,29 @@ class Simulator:
 
     # drains -------------------------------------------------------------
 
-    def _maybe_drain(self, wpq: WpqEntry, now: int) -> None:
+    def _maybe_drain(self, pid: int, now: int) -> None:
         """Under EP, queue an entry to drain once it arrived and its epoch is unlocked."""
-        if wpq.durable_cycle is not None or wpq.arrival_cycle is None:
+        record = self.record
+        if record.durable[pid] != NEVER or record.arrival[pid] == NEVER:
             return
-        unlock = self.unlock_cycle(wpq.epoch)
+        unlock = self.unlock_cycle(record.epoch[pid])
         if unlock is None or unlock > now:
             return
-        self._queue_drain(wpq, now)
+        self._queue_drain(pid, now)
 
-    def _queue_drain(self, wpq: WpqEntry, now: int) -> None:
-        wpq.durable_cycle = now
-        heappush(self.drain_eligible, wpq.pid)
+    def _drain_arrived(self, ett: EttEntry, now: int) -> None:
+        """``_maybe_drain`` for every member of one epoch, in pid order."""
+        unlock = self.unlock_cycle(ett.epoch)
+        if unlock is None or unlock > now:
+            return
+        durable, arrival = self.record.durable, self.record.arrival
+        for pid in range(ett.first_pid, ett.end_pid):
+            if durable[pid] == NEVER and arrival[pid] != NEVER:
+                self._queue_drain(pid, now)
+
+    def _queue_drain(self, pid: int, now: int) -> None:
+        self.record.durable[pid] = now
+        heappush(self.drain_eligible, pid)
         self._schedule_drain(now)
 
     def _schedule_drain(self, now: int) -> None:
@@ -731,9 +822,7 @@ class Simulator:
     def _ev_drain(self, _payload) -> None:
         now = self.clock
         self.drain_scheduled = False  # _schedule_drain pushes one drain at a time, onto a non-empty heap
-        pid = heappop(self.drain_eligible)
-        wpq = self.wpq_entries[pid]
-        wpq.drained_cycle = now
+        self.record.drained[heappop(self.drain_eligible)] = now
         self.stats["drains"] += 1
         self.next_drain_free = now + self.latency.drain_interval
         self._wake_submit(now)
@@ -747,37 +836,38 @@ class Simulator:
         """Each node update as ``(start, end, pid, epoch, label, level)``,
         in completion order.
 
-        The run keeps one 32-byte record ``(start, end, pid, level)`` per
-        update; the epoch comes from the persist log and the label is the
-        node at ``level`` on the persist's own update path, which is the
-        node it updated, under coalescing too (a trailing persist carries
-        the shared path above the merge point, which is its own path).
+        The run keeps one 24-byte record ``(start, end, pid * levels +
+        level - 1)`` per update; the epoch comes from the persist record and
+        the label is the node at ``level`` on the persist's own update path,
+        which is the node it updated, under coalescing too (a trailing
+        persist carries the shared path above the merge point, which is its
+        own path).
         """
-        log = self.golden.log
+        addrs, epochs = self.record.addr, self.record.epoch
         node_at = self.geometry.path_node
+        levels = self.geometry.levels
         fields = iter(self._updates)
-        for start, end, pid, level in zip(fields, fields, fields, fields):
-            rec = log[pid]
-            yield (start, end, pid, rec.epoch, node_at(rec.addr.page, level), level)
+        for start, end, key in zip(fields, fields, fields):
+            pid, level = divmod(key, levels)
+            yield (start, end, pid, epochs[pid], node_at(addrs[pid] // PAGE_SIZE, level + 1), level + 1)
 
     @property
     def update_log(self) -> tuple:
-        """Every node update as ``(start, end, pid, epoch, label, level)``: a
-        read-only view over the run's 32-byte records (``iter_update_log``).
-
-        The tuple is built on first read and kept until the next record
-        arrives, because readers walk it several times; a run that nobody
-        inspects never builds it.
-        """
-        if self._update_view[0] != len(self._updates):
-            self._update_view = (len(self._updates), tuple(self.iter_update_log()))
-        return self._update_view[1]
+        """Every node update as ``(start, end, pid, epoch, label, level)``,
+        built from the run's 24-byte records (``iter_update_log``) on each
+        read.  The run keeps none of it: the tuple and its ints take about 200
+        bytes per update, eight times the record."""
+        return tuple(self.iter_update_log())
 
     def completion_cycle(self, pid: int) -> Optional[int]:
-        return self.wpq_entries[pid].complete_cycle
+        cycle = self.record.complete[pid]
+        return None if cycle == NEVER else cycle
 
     def outstanding_persists(self) -> list:
-        return [e.pid for e in self.wpq_entries if e.complete_cycle is None]
+        complete = self.record.complete
+        if NEVER not in complete:  # one C-level scan
+            return []
+        return [pid for pid, cycle in enumerate(complete) if cycle == NEVER]
 
     def pending_trace_events(self) -> int:
         return len(self.trace) - self.trace_pos
@@ -789,7 +879,7 @@ class Simulator:
              f"{e.ready_cycle} obligation levels {[lv for lv, _ in e.obligations]}" for e in self.ptt_order]
             + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} incomplete {t.incomplete} deepest "
                f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.epochs[self.open_idx:]]
-            + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {len(self.wpq_entries) - self.stats['drains']} of "
+            + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {len(self.record) - self.stats['drains']} of "
                f"{self.params.wpq_capacity} occupied, {len(self.drain_eligible)} in the drain heap"])
 
     @property
@@ -799,10 +889,13 @@ class Simulator:
         return self.latency.cache_hit
 
     def last_completion_cycle(self) -> int:
-        return max((e.complete_cycle for e in self.wpq_entries if e.complete_cycle is not None), default=0)
+        complete = self.record.complete
+        if NEVER in complete:  # a run in flight
+            return max(filter(NEVER.__ne__, complete), default=0)
+        return max(complete, default=0)
 
     def stats_dict(self) -> dict:
-        out = dict(self.stats, persists_submitted=len(self.wpq_entries), root_updates=len(self.root_history))
+        out = dict(self.stats, persists_submitted=len(self.record), root_updates=len(self.record.root_cycle))
         out["stall_cycles"] = dict(self.stats["stall_cycles"])
         out["total_cycles"] = self.clock
         out["last_completion_cycle"] = self.last_completion_cycle()

@@ -2,17 +2,26 @@
 (oracle) plaintext memory.
 
 Everything here is functional state shared by the rest of the simulator;
-no timing lives in this module.
+no timing lives in this module.  Per-persist history is kept in columns
+(``array`` and ``bytearray``) indexed by persist id, and read through
+``Rows``, read-only sequences whose rows are built on demand.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from operator import eq
 
 BLOCK_SIZE = 64
 PAGE_SIZE = 4096
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 MINOR_MAX = 127  # 7-bit per-block minor counters
+NEVER = (1 << 63) - 1  # a cycle column's value until its event happens: no cut reaches it
 _MINOR_BITS = 7
 
 
@@ -94,6 +103,89 @@ class SplitCounter:
         the whole page's counters fit a single cache block."""
         return self.major.to_bytes(8, "little") + self.packed.to_bytes(56, "little")
 
+    @classmethod
+    def from_block_bytes(cls, block) -> "SplitCounter":
+        """The counter block that ``to_block_bytes`` packed into ``block``."""
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"counter block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return cls(int.from_bytes(block[:8], "little"), int.from_bytes(block[8:], "little"))
+
+
+MEMO_BLOCKS = 1 << 15  # blocks a BlockColumn keeps converted, about 0.1 KB each
+
+
+class BlockColumn:
+    """One 64-byte block per persist, end to end in ``data``, a ``bytearray``
+    that writers extend.  ``column[pid]`` reads one block as
+    ``convert(bytes)``.  ``blocks(n)`` reads the first ``n`` as a list, for
+    the crash path: successive crash points of one run read mostly the same
+    blocks, so the first ``MEMO_BLOCKS`` are converted once, when first
+    read, and kept; a run that nobody crashes keeps only its bytes.
+    """
+
+    __slots__ = ("data", "convert", "_memo")
+
+    def __init__(self, convert=bytes) -> None:
+        self.data = bytearray()
+        self.convert = convert
+        self._memo: list = []  # the first blocks, converted
+
+    def __len__(self) -> int:
+        return len(self.data) // BLOCK_SIZE
+
+    def __getitem__(self, pid: int):
+        if not 0 <= pid < len(self):
+            raise IndexError(f"block {pid} out of range")
+        return self.convert(bytes(self.data[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE]))
+
+    def _convert(self, pids: range) -> list:
+        with memoryview(self.data) as data:
+            return [self.convert(data[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE].tobytes()) for pid in pids]
+
+    def blocks(self, n: int) -> list:
+        """A list whose first ``n`` items are the first ``n`` blocks,
+        converted; it may be longer, and is shared, so only read it."""
+        memo = self._memo
+        if len(memo) < min(n, MEMO_BLOCKS):
+            memo += self._convert(range(len(memo), min(n, MEMO_BLOCKS)))
+        if n <= len(memo):
+            return memo
+        return memo + self._convert(range(len(memo), n))
+
+
+class Rows(Sequence):
+    """A read-only sequence of ``row(i)`` for ``i < size()``, each row built
+    when it is read.  It equals any sequence with equal rows."""
+
+    __slots__ = ("_size", "_row")
+
+    def __init__(self, size, row) -> None:
+        self._size = size
+        self._row = row
+
+    def __len__(self) -> int:
+        return self._size()
+
+    def __getitem__(self, i):
+        n = self._size()
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} out of range ({n} rows)")
+        return self._row(i)
+
+    def __iter__(self):
+        return map(self._row, range(self._size()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
 
 @dataclass(frozen=True, slots=True)
 class StoreRecord:
@@ -103,32 +195,46 @@ class StoreRecord:
     epoch: int
 
 
+def _store_record(addrs: array, epochs: array, plain: BlockColumn, pid: int) -> StoreRecord:
+    return StoreRecord(pid, BlockAddr(addrs[pid]), plain[pid], epochs[pid])
+
+
 class GoldenMemory:
     """Plaintext shadow memory plus an append-only persist-order log.
 
     The log order equals trace order of stores; recovery checks compare
-    durable state against replayed prefixes of this log.
+    durable state against replayed prefixes of this log.  It is kept as
+    columns indexed by persist id: ``addr`` and ``epoch`` (``array``) and
+    ``plain``, a ``BlockColumn`` of plaintexts.  ``log`` reads them as
+    ``StoreRecord`` rows.  Epochs never decrease along the log, so the
+    stores of the epochs up to any one are a prefix of it.
     """
 
     def __init__(self) -> None:
-        self.log: list = []
+        self.addr = array("Q")
+        self.epoch = array("q")
+        self.plain = BlockColumn()
+        # the row function holds the columns, not self, so no cycle keeps a run alive
+        self.log = Rows(self.addr.__len__, partial(_store_record, self.addr, self.epoch, self.plain))
 
     def apply_store(self, addr: BlockAddr, data: bytes, epoch: int = 0) -> int:
         if not isinstance(addr, BlockAddr):
             addr = BlockAddr(int(addr))
         if len(data) != BLOCK_SIZE:
             raise ValueError(f"payload must be {BLOCK_SIZE} bytes, got {len(data)}")
-        persist_id = len(self.log)
-        self.log.append(StoreRecord(persist_id, addr, data, epoch))
+        if self.epoch and epoch < self.epoch[-1]:
+            raise ValueError(f"epoch {epoch} after epoch {self.epoch[-1]}: epochs must not decrease")
+        persist_id = len(self.addr)
+        self.addr.append(addr.value)
+        self.epoch.append(epoch)
+        self.plain.data += data
         return persist_id
 
     def state_at_epoch_end(self, epoch: int) -> dict:
-        """Plaintext state after every store of epochs <= ``epoch``."""
-        state: dict = {}
-        for rec in self.log:
-            if rec.epoch <= epoch:
-                state[rec.addr.value] = rec.plaintext
-        return state
+        """Plaintext state after every store of epochs <= ``epoch``: each
+        address's last write in the log prefix of those epochs."""
+        n = bisect_right(self.epoch, epoch)
+        return dict(zip(islice(self.addr, n), self.plain.blocks(n)))
 
     def __len__(self) -> int:
-        return len(self.log)
+        return len(self.addr)

@@ -23,6 +23,19 @@ from oracles import replay_plaintext_prefix
 from test_schedule_lock import case_simulator, cases
 
 
+def test_omission_needs_a_completed_persist():
+    sim = Simulator(SimParams(scheme="sequential", levels=4, ideal_caches=True), parse("S 0x0\nS 0x1000\n"))
+    while len(sim.wpq_entries) < 2:
+        cycle, _kind, _seq, handler, payload = sim.events.pop()
+        sim.clock = cycle
+        handler(payload)
+    assert sim.wpq_entries[1].complete_cycle is None and sim.outstanding_persists() == [0, 1]
+    with pytest.raises(ValueError, match="never completed"):
+        crash(sim, CrashPlan("tuple-omission", persist_id=1, component="mac"))
+    with pytest.raises(ValueError, match="no such persist"):
+        crash(sim, CrashPlan("tuple-omission", persist_id=2, component="mac"))
+
+
 def test_crash_plan_validation():
     with pytest.raises(ValueError):
         CrashPlan("bogus")
@@ -251,20 +264,22 @@ def reference_durable_pids(sim, cut):
     the epochs: under SP an entry is durable once its tuple completed,
     under EP once its tuple arrived and its epoch is unlocked, which the
     oldest epoch with members is from the start and every later one a cycle
-    after its predecessor completed."""
+    after its predecessor completed.  The record's cycle columns read
+    ``NEVER``, later than any cut, until their event happens."""
+    record = sim.record
     durable = set()
     epoch = done = None
     unlocked = False
-    for entry in sim.wpq_entries:
+    for pid, (entry_epoch, arrival, complete) in enumerate(zip(record.epoch, record.arrival, record.complete)):
         if sim.is_ep:
-            if entry.epoch != epoch:
+            if entry_epoch != epoch:
                 unlocked = epoch is None or (done is not None and done + 1 <= cut)
-                epoch = entry.epoch
+                epoch = entry_epoch
                 done = sim.epoch_completion.get(epoch)
-            if unlocked and entry.arrival_cycle is not None and entry.arrival_cycle <= cut:
-                durable.add(entry.pid)
-        elif entry.complete_cycle is not None and entry.complete_cycle <= cut:
-            durable.add(entry.pid)
+            if unlocked and arrival <= cut:
+                durable.add(pid)
+        elif complete <= cut:
+            durable.add(pid)
     return durable
 
 
@@ -277,11 +292,11 @@ def test_durable_cycle_matches_the_epoch_walk(scheme):
         def check(cut):
             nonlocal last
             want = reference_durable_pids(sim, cut)
-            got = {e.pid for e in sim.wpq_entries if e.durable_cycle is not None and e.durable_cycle <= cut}
+            got = {pid for pid, durable in enumerate(sim.record.durable) if durable <= cut}
             assert got == want, (case, cut)
             if want != last:
                 # the youngest durable writer of each block is what crash() keeps
-                image = {sim.wpq_entries[pid].addr.value: sim.wpq_entries[pid].ciphertext for pid in sorted(want)}
+                image = {entry.addr.value: entry.ciphertext for entry in map(sim.wpq_entries.__getitem__, sorted(want))}
                 assert crash(sim, CrashPlan("at-cycle", cycle=cut)).data == image, (case, cut)
                 last = want
 

@@ -2,7 +2,7 @@ import random
 
 from nvmsim import LatencyConfig, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
 from nvmsim.bmt import BmtGeometry
-from nvmsim.engine import PttEntry, WpqEntry
+from nvmsim.engine import PttEntry
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import dedup_update_count
@@ -156,9 +156,10 @@ def test_below_done_matches_the_update_log_at_every_event():
         read = 0
         while sim.events:
             step(sim)
-            records = sim._updates  # (start, end, pid, level) per commit
-            for i in range(read, len(records), 4):
-                committed.setdefault(records[i + 2], []).append(records[i + 3])
+            records = sim._updates  # (start, end, pid * levels + level - 1) per commit
+            for i in range(read, len(records), 3):
+                pid, level = divmod(records[i + 2], sim.geometry.levels)
+                committed.setdefault(pid, []).append(level + 1)
             read = len(records)
             for entry in sim.ptt_order:
                 merge_level = sim.geometry.levels - entry.gate_count
@@ -170,11 +171,11 @@ def test_below_done_matches_the_update_log_at_every_event():
     assert seen == {False, True}
 
 
-def three_branch_rule_pairs(prev, lca_level, levels):
+def three_branch_rule_pairs(prev, persisted, lca_level, levels):
     """The pairing rule before it became one comparison: no pair with a
     persisted predecessor, nor once its shallowest issued update is above
     the merge level, or at it unless the merge point is the leaf."""
-    if prev.wpq.root_done_cycle is not None:
+    if persisted:
         return False
     if prev.next_idx > 0:
         shallowest_issued = levels - (prev.next_idx - 1)
@@ -197,11 +198,10 @@ def test_pairing_rule_matches_the_three_branch_rule():
             # every issued count, its last update in flight (so ``waiting`` is
             # not touched), then a persisted predecessor that issued its root
             for next_idx, persisted in [(n, False) for n in range(levels + 1)] + [(levels, True)]:
-                prev = PttEntry(0, 0, paths[0], WpqEntry(0, None, 0, 0, b"", None, b""), 0)
+                prev = PttEntry(0, 0, paths[0], None, 0)
                 prev.next_idx, prev.inflight = next_idx, not persisted
-                prev.wpq.root_done_cycle = 0 if persisted else None
-                new = PttEntry(1, 0, other, WpqEntry(1, None, 0, 0, b"", None, b""), 0)
-                want = three_branch_rule_pairs(prev, lca_level, levels)
+                new = PttEntry(1, 0, other, None, 0)
+                want = three_branch_rule_pairs(prev, persisted, lca_level, levels)
                 pairs_before = sim.stats["coalesce_pairs"]
                 sim.coalesce_pair(new, prev)
                 paired = sim.stats["coalesce_pairs"] > pairs_before

@@ -121,12 +121,19 @@ def test_ptt_backpressure():
     assert sim.stats["persists_completed"] == 12
 
 
+class LostTupleSimulator(Simulator):
+    """A run whose memory tuples never reach the WPQ."""
+
+    def _ev_arrival(self, pid) -> None:
+        pass
+
+
 def test_deadlock_detector_fires_on_orphan():
-    sim = Simulator(SimParams(scheme="ooo", levels=4, ideal_caches=True), parse("S 0x0\n"))
-    run_until_idle(sim)
-    sim.wpq_entries[0].complete_cycle = None  # fake a stuck tuple
+    # a stuck tuple: the root update persists the store, its tuple never arrives
+    sim = LostTupleSimulator(SimParams(scheme="ooo", levels=4, ideal_caches=True), parse("S 0x0\n"))
     with pytest.raises(DeadlockError):
         run_until_idle(sim)
+    assert sim.wpq_entries[0].root_done_cycle is not None and sim.outstanding_persists() == [0]
 
 
 def test_deadlock_report_dumps_the_tables():

@@ -100,7 +100,7 @@ def occupied_levels(sim):
     out = []
     levels = sim.geometry.levels
     for entry in sim.ptt_order:
-        if entry.wpq.root_done_cycle is not None:  # persisted
+        if sim.wpq_entries[entry.pid].root_done_cycle is not None:  # persisted
             continue
         if entry.inflight:
             out.append((entry.epoch, levels - entry.next_idx + 1, True))

@@ -1,0 +1,91 @@
+"""A run keeps a constant number of bytes per persist, and its history is read-only.
+
+Each persist's history is one row of the run's columns (the persist record,
+the golden log and the update log); the only objects a persist owns, its
+persist tracking table entry, live while it is in flight, and
+``wpq_entries``, ``golden.log`` and ``root_history`` build read-only rows
+on demand.
+"""
+
+import gc
+import tracemalloc
+import weakref
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from nvmsim import GenSpec, SimParams, Simulator, generate, run_until_idle
+from nvmsim.engine import PttEntry, WpqEntry
+
+from test_epoch_watermark import step
+
+
+def coalesce_trace(stores: int) -> list:
+    return generate(GenSpec(store_count=stores, pages=4, run_length=4, fence_interval=8, seed=0))
+
+
+def coalesce_run(stores: int) -> Simulator:
+    return Simulator(SimParams(scheme="coalesce"), coalesce_trace(stores))
+
+
+def retained_bytes_per_store(stores: int) -> float:
+    """Bytes a finished run holds beyond what it held when built (its
+    caches and its copy of the trace), per store, by tracemalloc."""
+    events = coalesce_trace(stores)
+    gc.collect()
+    gc.disable()  # a run frees its objects by refcount; collections would only slow the trace
+    tracemalloc.start()
+    try:
+        sim = Simulator(SimParams(scheme="coalesce"), events)
+        base = tracemalloc.get_traced_memory()[0]
+        run_until_idle(sim)
+        gc.collect()  # which also empties the free lists of small objects
+        return (tracemalloc.get_traced_memory()[0] - base) / stores
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_retained_bytes_per_store_do_not_grow_with_the_run():
+    short, long = retained_bytes_per_store(1024), retained_bytes_per_store(8192)
+    assert abs(long - short) <= 0.05 * short, (short, long)
+    # a 200-byte record row, a 64-byte plaintext and about two 24-byte
+    # update records per store, with the columns' growth slack
+    assert long < 450, long
+
+
+def test_no_tracking_entry_outlives_its_persist():
+    # with the cyclic collector off, every entry is freed by refcount alone
+    gc.disable()
+    try:
+        sim = coalesce_run(200)
+        entries = {}
+        while sim.events:
+            step(sim)
+            entries.update((entry.pid, weakref.ref(entry)) for entry in sim.ptt_order if entry.pid not in entries)
+        assert not sim.outstanding_persists() and len(entries) == 200
+        assert [pid for pid, ref in entries.items() if ref() is not None] == []
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, (PttEntry, WpqEntry))]
+    finally:
+        gc.enable()
+
+
+def test_history_views_are_read_only():
+    sim = coalesce_run(40)
+    run_until_idle(sim)
+    entry = sim.wpq_entries[-1]
+    assert entry.pid == 39 and entry == sim.wpq_entries[39] and entry != sim.wpq_entries[38]
+    for name in ("pid", "addr", "epoch", "ciphertext", "counter_block", "mac", "submit_cycle",
+                 "arrival_cycle", "root_done_cycle", "complete_cycle", "durable_cycle", "drained_cycle"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+    with pytest.raises(AttributeError):
+        entry.note = "x"
+    with pytest.raises(TypeError):
+        sim.wpq_entries[0] = entry
+    with pytest.raises(FrozenInstanceError):
+        sim.golden.log[0].plaintext = bytes(64)
+    with pytest.raises(TypeError):
+        sim.root_history[0] = (0, 0, 0)
+    # the views equal the same rows as plain lists
+    assert sim.root_history == list(sim.root_history) and list(sim.golden.log) == sim.golden.log

@@ -174,3 +174,17 @@ class TestGoldenMemory:
         mem.apply_store(BlockAddr(0), b"\x02" * 64, epoch=1)
         assert mem.state_at_epoch_end(0)[0] == b"\x01" * 64
         assert mem.state_at_epoch_end(1)[0] == b"\x02" * 64
+
+    def test_epochs_never_decrease_along_the_log(self):
+        # state_at_epoch_end takes an epoch's stores as a log prefix
+        mem = GoldenMemory()
+        mem.apply_store(BlockAddr(0), b"\x01" * 64, epoch=1)
+        with pytest.raises(ValueError, match="must not decrease"):
+            mem.apply_store(BlockAddr(64), b"\x02" * 64, epoch=0)
+        assert len(mem) == 1 and mem.state_at_epoch_end(0) == {}
+
+    def test_counter_block_bytes_round_trip(self):
+        block = SplitCounter.from_minors(3, [i % 128 for i in range(64)])
+        assert SplitCounter.from_block_bytes(block.to_block_bytes()) == block
+        with pytest.raises(ValueError):
+            SplitCounter.from_block_bytes(bytes(63))

@@ -1,10 +1,13 @@
-"""Recovery's memos against a reference recovery, tampering and the engine.
+"""Recovery's memos and the crash fold against references, tampering and the engine.
 
 ``crash.open_durable`` and ``bmt.recovery_digest`` memoize block openings
 and tree digests by their full inputs.  The reference recovery here opens
 every block with ``crypto.decrypt`` and ``crypto.mac_tag`` and checks the
 tree with the dense ``oracles.full_root``, so it shares no memo and no
-traversal with the library.
+traversal with the library.  ``crash``, ``GoldenMemory.state_at_epoch_end``
+and the strict-persistency prefix walk read the run's columns; their
+references here fold the read-only ``wpq_entries``, ``golden.log`` and
+``root_history`` views one row at a time.
 """
 
 import importlib
@@ -16,11 +19,11 @@ import pytest
 
 from nvmsim import (SCHEMES, CrashPlan, GenSpec, KeySet, SimParams, Simulator, check_prefix_consistency, crash,
                     generate, rebuild_from_counters, recover, run_until_idle)
-from nvmsim.crash import TUPLE_COMPONENTS, RecoveryReport
+from nvmsim.crash import TUPLE_COMPONENTS, DurableSnapshot, RecoveryReport
 from nvmsim.crypto import decrypt, mac_tag
-from nvmsim.model_core import BLOCK_SIZE, BLOCKS_PER_PAGE, SplitCounter
+from nvmsim.model_core import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, SplitCounter
 
-from oracles import full_root
+from oracles import full_root, replay_plaintext_prefix
 from test_schedule_lock import case_id, case_simulator, cases
 
 crash_module = importlib.import_module("nvmsim.crash")
@@ -180,3 +183,108 @@ def test_memos_are_bounded(monkeypatch):
     for memo in (small_open, small_digest):
         info = memo.cache_info()
         assert info.misses > info.maxsize and info.currsize == info.maxsize
+
+
+def test_a_warm_rebuild_hashes_nothing(monkeypatch):
+    sim = small_run()
+    counters = crash(sim, CrashPlan("at-cycle", cycle=sim.clock)).counters
+    rebuild_from_counters(counters, sim.geometry, sim.keys)
+    calls = []
+    hash_node = bmt_module.hash_node
+    monkeypatch.setattr(bmt_module, "hash_node", lambda *args: calls.append(args) or hash_node(*args))
+    assert rebuild_from_counters(counters, sim.geometry, sim.keys).root() == sim.bmt.root_register
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the crash fold, epoch-boundary states and prefix walk against slow folds
+# ----------------------------------------------------------------------
+
+
+def reference_snapshot(sim, plan) -> DurableSnapshot:
+    """``crash`` as a fold over the views, entry by entry in pid order."""
+    entries, log = list(sim.wpq_entries), list(sim.golden.log)
+    cut = plan.cycle if plan.mode == "at-cycle" else entries[plan.persist_id].complete_cycle
+    omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else (None, None)
+    data, counters, macs, expected_plain = {}, {}, {}, {}
+    cut_epochs = set()
+    for entry in entries:
+        if entry.durable_cycle is None or entry.durable_cycle > cut:
+            continue
+        cut_epochs.add(entry.epoch)
+        skip = omitted[1] if entry.pid == omitted[0] else None
+        addr = entry.addr.value
+        expected_plain[addr] = log[entry.pid].plaintext
+        if skip != "ciphertext":
+            data[addr] = entry.ciphertext
+        if skip != "counter":
+            counters[entry.addr.page] = entry.counter_block
+        if skip != "mac":
+            macs[addr] = entry.mac
+    root_register = full_root({}, sim.geometry, sim.keys)
+    for cycle, pid, value in sim.root_history:
+        if cycle <= cut and (pid, "root") != omitted:
+            root_register = value
+            cut_epochs.add(log[pid].epoch)
+    completed, incomplete, excluded = set(), set(), set()
+    if sim.is_ep:
+        completed = {epoch for epoch, done in sim.epoch_completion.items() if done <= cut}
+        incomplete = cut_epochs - completed
+        excluded = {e.addr.value for e in entries if e.epoch in incomplete and e.submit_cycle <= cut}
+        tainted = {addr // PAGE_SIZE for addr in excluded}
+        excluded |= {addr for addr in expected_plain if addr // PAGE_SIZE in tainted}
+    return DurableSnapshot(crash_cycle=cut, persistency="EP" if sim.is_ep else "SP", data=data, counters=counters,
+                           macs=macs, root_register=root_register, expected_plain=expected_plain,
+                           completed_epochs=completed, incomplete_epochs=incomplete, excluded_addrs=excluded)
+
+
+def reference_matched_prefix(golden, target):
+    """The first persist-log prefix whose state equals ``target``, comparing whole states."""
+    state = {}
+    for n, rec in enumerate(golden.log):
+        if state == target:
+            return n
+        state[rec.addr.value] = rec.plaintext
+    return len(golden.log) if state == target else None
+
+
+def path_label(sim, page, level):
+    """The node at ``level`` on ``page``'s update path, by parent steps from its leaf."""
+    arity, levels = sim.geometry.arity, sim.geometry.levels
+    label = (arity ** (levels - 1) - 1) // (arity - 1) + page
+    for _ in range(levels - level):
+        label = (label - 1) // arity
+    return label
+
+
+@pytest.mark.parametrize("case", DIFF_CASES, ids=case_id)
+def test_columnar_readers_match_slow_folds_over_the_views(case):
+    sim = case_simulator(case)
+    run_until_idle(sim)
+    golden = sim.golden
+    for plan in plans(sim):
+        snapshot = crash(sim, plan)
+        assert snapshot == reference_snapshot(sim, plan), plan
+        if not sim.is_ep and plan.mode == "at-cycle":
+            report = recover(snapshot, sim.keys, sim.geometry)
+            if not any(report.verdicts.values()):
+                want = reference_matched_prefix(golden, report.plaintexts)
+                assert check_prefix_consistency(report, golden).matched == want, plan
+    log = list(golden.log)
+    for epoch in range(-1, log[-1].epoch + 2):
+        want = {rec.addr.value: rec.plaintext for rec in log if rec.epoch <= epoch}
+        assert golden.state_at_epoch_end(epoch) == want
+        assert want == replay_plaintext_prefix(golden, sum(rec.epoch <= epoch for rec in log))
+    # the root history and the update log against the dense oracle and the path math
+    entries = list(sim.wpq_entries)
+    assert sim.root_history[-1][2] == sim.bmt.root_register == full_root(
+        {e.addr.page: e.counter_block for e in entries}, sim.geometry, sim.keys)
+    if not sim.is_ep and sim.geometry.arity == 2:  # strict persistency: each root covers its persist-order prefix
+        assert [pid for _cycle, pid, _value in sim.root_history] == list(range(len(entries)))
+        for cycle, pid, value in sim.root_history:
+            assert cycle == entries[pid].root_done_cycle
+            assert value == full_root({e.addr.page: e.counter_block for e in entries[:pid + 1]}, sim.geometry, sim.keys)
+    updates = sim.update_log
+    assert len(updates) == sim.stats["node_updates"]
+    for _start, _end, pid, epoch, label, level in updates:
+        assert epoch == log[pid].epoch and label == path_label(sim, log[pid].addr.page, level)
