@@ -198,7 +198,7 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     incomplete_epochs: set = set()
     excluded_addrs: set = set()
     if is_ep:
-        epochs = record.epoch.tolist()
+        epochs = record.epoch
         completed_epochs = {e for e, c in sim.epoch_completion.items() if c <= cut}
         # epochs with a durable tuple or a root effect by the cut: a root
         # effect from a still-running epoch marks it in flight even when
@@ -326,7 +326,7 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
             violation=Violation(
                 None,
                 "persist-order",
-                f"recovered state matches no persist-log prefix (blocks={len(target)})",
+                f"recovered state matches no persist-log prefix (blocks={len(report.plaintexts)})",
             ),
         )
 

@@ -40,35 +40,37 @@ completion.  That matches a hardware dataflow pipeline and is what keeps
 strict-persistency roots exactly equal to persist-order prefixes even
 while younger persists overwrite shared state underneath.
 
-Under epoch persistency one table, ``epochs``, holds an ``EttEntry`` per
-epoch with members, oldest first; an epoch's stores are consecutive
-persists, so its members are ``range(first_pid, end_pid)``.  An epoch
-unlocks a cycle after its predecessor completes and completes no earlier
-than its unlock, so epochs complete in order at strictly increasing cycles,
-and the watermark ``open_idx`` splits the table: ``epochs[:open_idx]`` have
-completed and ``epochs[open_idx:]`` is the live epoch tracking table
-(ETT).  Once the next epoch starts, an epoch counts the deepest level its
-members hold and how many hold it, and counts again when the last of them
-moves up; that sets ``older`` of the epochs after it.  A WPQ entry
-survives power loss from its ``durable_cycle``, when it may drain: under
-SP once its tuple completed, under EP at the later of its arrival and its
-epoch's unlock.
+Under epoch persistency the epoch tracking table (ETT), ``ett``, holds an
+``EttEntry`` per live epoch with members, oldest first; an epoch's stores
+are consecutive persists, so its members are ``range(first_pid, end_pid)``.
+Only ``ett[0]`` can unlock, drain or complete: it is unlocked once
+``last_epoch_done``, the completion cycle of its predecessor, is before now,
+and it completes, no earlier than that, when its membership is closed and
+every member's tuple completed.  Epochs thus complete in order at strictly
+increasing cycles; a completed epoch leaves the table and only its cycle
+stays, in ``epoch_completion``.  Once the next epoch starts, an epoch counts
+the deepest level its members hold and how many hold it, and counts again
+when the last of them moves up; that sets ``older`` of the epochs after it.
+A WPQ entry survives power loss from its ``durable_cycle``, when it may
+drain: under SP once its tuple completed, under EP at the later of its
+arrival and its epoch's unlock.
 
 What a run keeps of each persist is one 200-byte row of the columnar
 ``PersistRecord`` (six cycles, address, epoch, ciphertext, counter block
 and MAC), its 64-byte plaintext in the golden log, a 24-byte record per
 node update and 24 bytes per root update.  Only the tracking tables hold
 objects, one ``PttEntry`` per persist still climbing the tree, so no
-per-persist object outlives its persist.  ``wpq_entries``,
-``root_history`` and ``golden.log`` read the columns as read-only
-``Rows`` of ``WpqEntry`` views, tuples and ``StoreRecord``s; crash folding
-and recovery checks read the columns themselves.
+per-persist object outlives its persist, and ``trace`` lets each event go
+as it is submitted.  ``wpq_entries``, ``root_history`` and ``golden.log``
+read the columns as read-only ``Rows`` of ``WpqEntry`` views, tuples and
+``StoreRecord``s; crash folding and recovery checks read the columns
+themselves.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -98,7 +100,7 @@ EPOCH_SCHEMES = ("ooo", "coalesce")
 
 COMPONENTS = ("ciphertext", "counter", "mac")
 
-_EPOCH = attrgetter("epoch")  # bisect key over Simulator.epochs
+_EPOCH = attrgetter("epoch")  # bisect key over Simulator.ett
 _PID = attrgetter("pid")
 
 
@@ -282,9 +284,10 @@ class PttEntry:
 
 
 class EttEntry:
-    """One epoch with members: its persists ``range(first_pid, end_pid)``."""
+    """One live epoch with members: its persists ``range(first_pid, end_pid)``.
+    It leaves ``Simulator.ett`` when it completes."""
 
-    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "deepest", "at_deepest", "older")
+    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "deepest", "at_deepest", "older", "__weakref__")
 
     def __init__(self, epoch, first_pid):
         self.epoch = epoch
@@ -317,8 +320,7 @@ class Simulator:
         self.mac_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
         self.bmt_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
 
-        self.trace = list(trace_events)
-        self.trace_pos = 0
+        self.trace = deque(trace_events)  # events not submitted yet
         self.trace_done = False
         self.current_epoch = 0  # global epoch counter
         self.page_ready: dict = {}
@@ -328,9 +330,9 @@ class Simulator:
         self.wpq_entries = Rows(self.record.__len__, partial(WpqEntry, self.record))
         self.root_history = Rows(self.record.root_cycle.__len__, self.record.root_row)  # (cycle, pid, value)
         self.ptt_order: deque = deque()
-        self.epochs: list = []  # EttEntry per epoch with members, oldest first
-        self.open_idx = 0  # epochs[:open_idx] have completed; epochs[open_idx:] is the live ETT
+        self.ett: list = []  # EttEntry per live epoch with members, oldest first
         self.epoch_completion: dict = {}  # epoch -> completion cycle
+        self.last_epoch_done = -1  # completion cycle of the last completed epoch
 
         self._updates = array("q")  # (start, end, pid * levels + level - 1) per node update
 
@@ -353,12 +355,10 @@ class Simulator:
         self._submit_waiting = False
         self._stall_start = None  # (cycle, causes)
 
-        self.stats = {  # persists_submitted and root_updates are read off the record
-            "persists_completed": 0,
+        self.stats = {  # stats_dict() reads the persist counts off the record, bmt_fills off the BMT cache
             "node_updates": 0,
             "coalesce_pairs": 0,
             "counter_overflows": 0,
-            "bmt_fills": 0,
             "drains": 0,
             "stall_cycles": {"wpq_full": 0, "ptt_full": 0, "ett_full": 0},
         }
@@ -371,16 +371,16 @@ class Simulator:
 
     def _ev_submit(self, _payload) -> None:
         now = self.clock
-        while self.trace_pos < len(self.trace) and isinstance(self.trace[self.trace_pos], Fence):
+        trace = self.trace
+        while trace and isinstance(trace[0], Fence):
+            trace.popleft()
             self.epoch_boundary(now)
-            self.trace_pos += 1
-        if self.trace_pos >= len(self.trace):
+        if not trace:
             # final epoch's membership is closed; it may already be complete
             self.trace_done = True
-            if self.open_idx < len(self.epochs):
-                self._epoch_maybe_complete(self.epochs[self.open_idx], now)
+            self._epoch_maybe_complete(now)
             return
-        store = self.trace[self.trace_pos]
+        store = trace[0]
         epoch = self.current_epoch
 
         causes = []
@@ -388,8 +388,7 @@ class Simulator:
             causes.append("wpq_full")
         if len(self.ptt_order) >= self.params.ptt_capacity:
             causes.append("ptt_full")
-        if (self.is_ep and len(self.epochs) - self.open_idx >= self.params.ett_capacity
-                and self.epochs[-1].epoch != epoch):
+        if self.is_ep and len(self.ett) >= self.params.ett_capacity and self.ett[-1].epoch != epoch:
             causes.append("ett_full")
         if causes:
             if self._stall_start is None:
@@ -403,7 +402,7 @@ class Simulator:
                 self.stats["stall_cycles"][cause] += now - start
             self._stall_start = None
 
-        self.trace_pos += 1
+        trace.popleft()
         self._submit_store(store, epoch, now)
         self.events.push(now + 1, SUBMIT, self._ev_submit)
 
@@ -411,8 +410,8 @@ class Simulator:
         """Persist fence: subsequent stores belong to the next epoch."""
         closed = self.current_epoch
         self.current_epoch += 1
-        if self.epochs and self.epochs[-1].epoch == closed:
-            self._epoch_maybe_complete(self.epochs[-1], now)
+        if self.ett and self.ett[0].epoch == closed:
+            self._epoch_maybe_complete(now)
 
     def _submit_store(self, store: Store, epoch: int, now: int) -> None:
         addr = store.addr
@@ -451,11 +450,11 @@ class Simulator:
         entry = PttEntry(pid, epoch, path, leaf_block, ready)
         self.ptt_order.append(entry)
         if self.is_ep:
-            if not self.epochs or self.epochs[-1].epoch != epoch:
-                self.epochs.append(EttEntry(epoch, pid))
-                if len(self.epochs) > 1:
-                    self._count_deepest(self.epochs[-2])
-            ett = entry.ett = self.epochs[-1]
+            if not self.ett or self.ett[-1].epoch != epoch:
+                self.ett.append(EttEntry(epoch, pid))
+                if len(self.ett) > 1:
+                    self._count_deepest(self.ett[-2])
+            ett = entry.ett = self.ett[-1]
             ett.end_pid = pid + 1
             ett.incomplete += 1
             self.waiting.append(entry)
@@ -537,7 +536,6 @@ class Simulator:
             duration = self.latency.mac_latency
         else:
             # fetch, verify the fetched node (one MAC), then compute the update
-            self.stats["bmt_fills"] += 1
             duration = self.latency.cache_fill + 2 * self.latency.mac_latency
         # overlapped updates of one node write back in issue order: a fast
         # later update must not overtake a slow earlier one with stale inputs
@@ -706,51 +704,54 @@ class Simulator:
                 held.append(levels - idx)
         ett.deepest = max(held, default=0)
         ett.at_deepest = held.count(ett.deepest)
-        epochs = self.epochs
-        for i in range(bisect_left(epochs, ett.epoch, self.open_idx, key=_EPOCH) + 1, len(epochs)):
-            epochs[i].older = max(epochs[i - 1].older, epochs[i - 1].deepest)
+        live = self.ett
+        for i in range(live.index(ett) + 1, len(live)):
+            live[i].older = max(live[i - 1].older, live[i - 1].deepest)
 
     # ------------------------------------------------------------------
     # WPQ lifecycle
     # ------------------------------------------------------------------
 
     def _ev_arrival(self, pid) -> None:
-        self.record.arrival[pid] = self.clock
-        self._check_complete(pid, self.clock)
-        if self.is_ep:
-            self._maybe_drain(pid, self.clock)
+        now, record = self.clock, self.record
+        record.arrival[pid] = now
+        self._check_complete(pid, now)
+        ett = self._unlocked(now)  # under EP an entry of the unlocked epoch drains as it arrives
+        if ett is not None and ett.epoch == record.epoch[pid] and record.durable[pid] == NEVER:
+            self._queue_drain(pid, now)
 
     def _check_complete(self, pid: int, now: int) -> None:
         record = self.record
         if record.arrival[pid] == NEVER or record.root_done[pid] == NEVER:
             return
         record.complete[pid] = now
-        self.stats["persists_completed"] += 1
         if self.is_ep:
-            # an epoch with an incomplete member is live
-            ett = self.epochs[bisect_left(self.epochs, record.epoch[pid], self.open_idx, key=_EPOCH)]
+            # an epoch with an incomplete member is live; only the oldest can complete
+            ett = self.ett[bisect_left(self.ett, record.epoch[pid], key=_EPOCH)]
             ett.incomplete -= 1
-            self._epoch_maybe_complete(ett, now)
+            if ett is self.ett[0]:
+                self._epoch_maybe_complete(now)
         else:
             self._queue_drain(pid, now)  # under SP a completed tuple may drain
         if self.scheme == "sequential":
             self._dispatch(self, now)  # the next persist may start now
 
-    def _epoch_maybe_complete(self, ett: EttEntry, now: int) -> None:
-        """Complete ``ett``'s epoch if it can."""
-        # epochs complete strictly in order, so only the oldest open epoch
-        # can; a younger epoch whose tuples all arrived early still waits
-        # for every older boundary, and for its own unlock a cycle after its
-        # predecessor's completion, when the unlock sweep completes it
-        if self.open_idx >= len(self.epochs) or self.epochs[self.open_idx] is not ett:
+    def _unlocked(self, now: int) -> Optional[EttEntry]:
+        """The live epoch whose WPQ entries may drain at ``now``, if any: the
+        oldest, from the cycle after its predecessor completed."""
+        return self.ett[0] if self.ett and self.last_epoch_done < now else None
+
+    def _epoch_maybe_complete(self, now: int) -> None:
+        """Complete the oldest live epoch if it is unlocked, its membership is
+        closed and every member's tuple completed.  Called when one of these
+        changes for that epoch, not for a younger one: a younger epoch whose
+        tuples all arrived early waits for every older boundary, and for its
+        own unlock, when the unlock sweep completes it."""
+        ett = self._unlocked(now)
+        if ett is None or ett.incomplete or not (ett.epoch < self.current_epoch or self.trace_done):
             return
-        if self.open_idx and self.epoch_completion[self.epochs[self.open_idx - 1].epoch] == now:
-            return
-        membership_final = ett.epoch < self.current_epoch or self.trace_done
-        if not membership_final or ett.incomplete:
-            return
-        self.epoch_completion[ett.epoch] = now
-        self.open_idx += 1
+        del self.ett[0]
+        self.epoch_completion[ett.epoch] = self.last_epoch_done = now
         self._wake_submit(now)
         self._drain_arrived(ett, now)
         # the waiting persists dispatch at now + 1 before that cycle's unlock sweep,
@@ -759,18 +760,20 @@ class Simulator:
         self.events.push(now + 1, KICK, self._ev_unlock_sweep)
 
     def _ev_unlock_sweep(self, _payload) -> None:
-        if self.open_idx >= len(self.epochs):
-            return
-        ett = self.epochs[self.open_idx]
-        # it unlocks now: its arrived entries drain, and it may have been
-        # waiting only on its unlock to complete
-        self._drain_arrived(ett, self.clock)
-        self._epoch_maybe_complete(ett, self.clock)
+        # the oldest live epoch unlocks now: its arrived entries drain, and it
+        # may have been waiting only on its unlock to complete
+        ett = self._unlocked(self.clock)
+        if ett is not None:
+            self._drain_arrived(ett, self.clock)
+            self._epoch_maybe_complete(self.clock)
 
     @property
     def epoch_members(self) -> dict:
         """Persist ids of every epoch with members (read-only view)."""
-        return {ett.epoch: range(ett.first_pid, ett.end_pid) for ett in self.epochs}
+        if not self.is_ep:
+            return {}
+        epochs = self.record.epoch
+        return {e: range(bisect_left(epochs, e), bisect_right(epochs, e)) for e in dict.fromkeys(epochs)}
 
     def unlock_cycle(self, epoch: int) -> Optional[int]:
         """Cycle from which this epoch's WPQ entries stop being invalidatable.
@@ -779,30 +782,19 @@ class Simulator:
         cycle after the last older epoch completed.  None while still locked.
         Because epochs complete in order at increasing cycles, that is the
         completion cycle of the nearest older epoch with members, plus 1.
+        Under SP no epoch locks, so it is 0.
         """
-        idx = bisect_left(self.epochs, epoch, key=_EPOCH)
-        if idx == 0:
+        epochs = self.record.epoch
+        pid = bisect_left(epochs, epoch) if self.is_ep else 0
+        if pid == 0:
             return 0
-        done = self.epoch_completion.get(self.epochs[idx - 1].epoch)
+        done = self.epoch_completion.get(epochs[pid - 1])
         return None if done is None else done + 1
 
     # drains -------------------------------------------------------------
 
-    def _maybe_drain(self, pid: int, now: int) -> None:
-        """Under EP, queue an entry to drain once it arrived and its epoch is unlocked."""
-        record = self.record
-        if record.durable[pid] != NEVER or record.arrival[pid] == NEVER:
-            return
-        unlock = self.unlock_cycle(record.epoch[pid])
-        if unlock is None or unlock > now:
-            return
-        self._queue_drain(pid, now)
-
     def _drain_arrived(self, ett: EttEntry, now: int) -> None:
-        """``_maybe_drain`` for every member of one epoch, in pid order."""
-        unlock = self.unlock_cycle(ett.epoch)
-        if unlock is None or unlock > now:
-            return
+        """Queue every arrived member of an unlocked epoch to drain, in pid order."""
         durable, arrival = self.record.durable, self.record.arrival
         for pid in range(ett.first_pid, ett.end_pid):
             if durable[pid] == NEVER and arrival[pid] != NEVER:
@@ -870,7 +862,7 @@ class Simulator:
         return [pid for pid, cycle in enumerate(complete) if cycle == NEVER]
 
     def pending_trace_events(self) -> int:
-        return len(self.trace) - self.trace_pos
+        return len(self.trace)
 
     def dump_tables(self) -> str:
         """The tracking tables, one line per entry, for a deadlock report."""
@@ -878,7 +870,7 @@ class Simulator:
             [f"ptt pid {e.pid} epoch {e.epoch} next_idx {e.next_idx} inflight {e.inflight} ready_cycle "
              f"{e.ready_cycle} obligation levels {[lv for lv, _ in e.obligations]}" for e in self.ptt_order]
             + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} incomplete {t.incomplete} deepest "
-               f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.epochs[self.open_idx:]]
+               f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.ett]
             + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {len(self.record) - self.stats['drains']} of "
                f"{self.params.wpq_capacity} occupied, {len(self.drain_eligible)} in the drain heap"])
 
@@ -895,7 +887,10 @@ class Simulator:
         return max(complete, default=0)
 
     def stats_dict(self) -> dict:
-        out = dict(self.stats, persists_submitted=len(self.record), root_updates=len(self.record.root_cycle))
+        record = self.record
+        out = dict(self.stats, persists_submitted=len(record), root_updates=len(record.root_cycle),
+                   persists_completed=len(record) - record.complete.count(NEVER),  # one C-level scan
+                   bmt_fills=self.bmt_cache.stats.misses)
         out["stall_cycles"] = dict(self.stats["stall_cycles"])
         out["total_cycles"] = self.clock
         out["last_completion_cycle"] = self.last_completion_cycle()

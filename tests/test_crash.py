@@ -16,6 +16,7 @@ from nvmsim import (
     recover,
     run_until_idle,
 )
+from nvmsim.bmt import rebuild_from_counters
 from nvmsim.crash import DurableSnapshot, Violation
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
@@ -154,8 +155,8 @@ def test_recovery_ignores_volatile_state(rng):
     sim = Simulator(SimParams(scheme="coalesce", levels=4, ideal_caches=True), parse(text))
 
     def in_flight():
-        live = sim.epochs[sim.open_idx:]
-        return (sim.open_idx >= 1 and len(live) >= 2 and sim.ptt_order
+        live = sim.ett
+        return (sim.epoch_completion and len(live) >= 2 and sim.ptt_order
                 and any(sim.wpq_entries[pid].arrival_cycle is not None
                         for pid in range(live[1].first_pid, live[1].end_pid)))
 
@@ -171,7 +172,7 @@ def test_recovery_ignores_volatile_state(rng):
     sim.bmt_cache.flush_volatile()
     sim.mac_cache.flush_volatile()
     sim.ptt_order.clear()
-    del sim.epochs[sim.open_idx:]
+    sim.ett.clear()
     sim.bmt.values.clear()
     after = [recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry) for cut in cuts]
     for report_a, report_b in zip(before, after):
@@ -193,29 +194,47 @@ def test_crash_leaves_the_run_unchanged(scheme):
     assert sim.stats_dict() == before
 
 
-def test_adversarial_root_reorder_detected():
-    # a scheduler that persisted the younger tuple but not the older one:
-    # recovered state matches no persist-order prefix
-    sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
-    good = crash(sim, CrashPlan("at-cycle", cycle=sim.clock))
+def younger_tuple_only(sim, root_register=None):
+    """The durable state a scheduler leaves that persisted the younger of two
+    tuples and nothing of the older one; by default under the run's final root."""
     rec1 = sim.golden.log[1]
     entry1 = sim.wpq_entries[1]
-    doctored = DurableSnapshot(
-        crash_cycle=good.crash_cycle,
+    counters = {rec1.addr.page: entry1.counter_block}
+    return DurableSnapshot(
+        crash_cycle=sim.clock,
         persistency="SP",
         data={rec1.addr.value: entry1.ciphertext},
-        counters={rec1.addr.page: entry1.counter_block},
+        counters=counters,
         macs={rec1.addr.value: entry1.mac},
-        root_register=good.root_register,
+        root_register=sim.bmt.root_register if root_register is None else root_register,
         expected_plain={rec1.addr.value: rec1.plaintext},
         completed_epochs=set(),
         incomplete_epochs=set(),
         excluded_addrs=set(),
     )
-    report = recover(doctored, sim.keys, sim.geometry)
+
+
+def test_adversarial_root_reorder_detected():
+    # a scheduler that persisted the younger tuple but not the older one:
+    # recovered state matches no persist-order prefix
+    sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
+    report = recover(younger_tuple_only(sim), sim.keys, sim.geometry)
     res = check_prefix_consistency(report, sim.golden)
     assert not res.ok
     assert isinstance(res.violation, Violation)
+
+
+def test_clean_blocks_out_of_persist_order_violate_persist_order():
+    # the same state under a root over the younger counter alone: every block
+    # verifies, yet the recovered state matches no persist-order prefix
+    sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
+    counters = younger_tuple_only(sim).counters
+    root = rebuild_from_counters(counters, sim.geometry, sim.keys).root()
+    report = recover(younger_tuple_only(sim, root), sim.keys, sim.geometry)
+    assert report.bmt_ok and not any(report.verdicts.values())
+    res = check_prefix_consistency(report, sim.golden)
+    assert not res.ok and res.matched is None
+    assert res.violation.invariant == "persist-order" and "blocks=1" in res.violation.detail
 
 
 def verdict_at(params, spec, cut):

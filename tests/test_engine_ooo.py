@@ -80,7 +80,7 @@ def test_ett_capacity_stalls_third_epoch():
 def test_empty_epoch_retires_immediately():
     text = "S 0x0\nF\nF\nF\nS 0x1000\n"
     sim = run_sim("ooo", text, levels=4)
-    assert sim.stats["persists_completed"] == 2
+    assert sim.stats_dict()["persists_completed"] == 2
     assert sorted(sim.epoch_members) == [0, 3]
 
 
@@ -112,13 +112,13 @@ def test_wpq_backpressure_stalls_submission():
         latency=LatencyConfig(drain_interval=64),
     )
     assert sim.stats["stall_cycles"]["wpq_full"] > 0
-    assert sim.stats["persists_completed"] == 24  # backpressure, no loss
+    assert sim.stats_dict()["persists_completed"] == 24  # backpressure, no loss
 
 
 def test_ptt_backpressure():
     sim = run_sim("ooo", trace_text(*[page_addr(i % 3) for i in range(12)]), levels=4, ptt_capacity=2)
     assert sim.stats["stall_cycles"]["ptt_full"] > 0
-    assert sim.stats["persists_completed"] == 12
+    assert sim.stats_dict()["persists_completed"] == 12
 
 
 class LostTupleSimulator(Simulator):

@@ -1,11 +1,12 @@
-"""The epoch watermark against full scans of every epoch, and bounded tracking state.
+"""The live epoch tracking table against full scans of every epoch, and bounded tracking state.
 
-``unlock_cycle`` looks at one epoch only, because epochs complete in order
-at strictly increasing cycles.  The reference function below scans every
-epoch seen so far and needs no such invariant; the two must agree at every
-event of a run.  The epoch table itself is checked against the WPQ entries
-at every event too, and so is the rule the ooo walk enforces: an update in
-flight sits strictly deeper than every level an older epoch occupies.
+``unlock_cycle`` looks at one epoch only, the nearest older one with
+members, because epochs complete in order at strictly increasing cycles.
+The reference function below scans every epoch seen so far and needs no
+such invariant; the two must agree at every event of a run.  The live
+table itself is checked against the WPQ entries at every event too, and so
+is the rule the ooo walk enforces: an update in flight sits strictly deeper
+than every level an older epoch occupies.
 """
 
 import gc
@@ -41,9 +42,9 @@ def members_by_epoch(sim):
 def check_epoch_table(sim):
     grouped = members_by_epoch(sim)
     assert {epoch: list(pids) for epoch, pids in sim.epoch_members.items()} == grouped
-    live = sim.epochs[sim.open_idx:]
-    assert [e.epoch for e in live] == [e for e in grouped if e not in sim.epoch_completion]
-    for ett in live:
+    # the ETT holds exactly the epochs with members that have not completed
+    assert [e.epoch for e in sim.ett] == [e for e in grouped if e not in sim.epoch_completion]
+    for ett in sim.ett:
         assert ett.incomplete == sum(
             sim.wpq_entries[pid].complete_cycle is None for pid in grouped[ett.epoch]
         )
@@ -152,7 +153,7 @@ def test_tracking_state_is_freed_after_persist(scheme):
         run_until_idle(sim)
         assert first() is None
         assert last() is None
-        assert sim.open_idx == len(sim.epochs)
+        assert sim.ett == []
         # a commit cycle below the clock can no longer delay a commit
         assert all(cycle >= sim.clock for cycle in sim.node_commit_horizon.values())
         finished = weakref.ref(sim)
@@ -184,3 +185,22 @@ def test_waiting_persists_dispatch_before_the_unlock_sweep():
     sim = Simulator(params, parse(trace_text(0xC0, "F", 0x1980, "F", 0xDC0)))
     run_until_idle(sim)
     assert sim.epoch_completion == {0: 2, 1: 3, 2: 5}
+
+
+def test_a_younger_members_completion_leaves_the_oldest_epoch_to_its_sweep():
+    # epoch 0 completes at cycle 90, and epoch 1 (persists 9-12) then waits
+    # only for its unlock at 91.  At 91, before the unlock sweep, persist 14
+    # of epoch 2 arrives and completes its tuple; that is no change to epoch
+    # 1, which completes in the sweep.  Completed at the arrival, epoch 1
+    # would drain first, the freed WPQ slot would admit persist 17 before the
+    # dispatch of cycle 91, its updates would take both MAC units, and
+    # persist 16's root update would slip to 92.
+    latency = LatencyConfig(mac_latency=0, cache_hit=0, cache_fill=5, wpq_enqueue=40, drain_interval=1)
+    params = SimParams(scheme="coalesce", arity=3, levels=3, wpq_capacity=8, ett_capacity=3, mac_units=2,
+                       latency=latency)
+    text = trace_text(0xD00, 0x2400, 0x2B00, 0xA40, 0x4200, 0x39C0, 0x2980, 0x3600, 0x1D80, "F",
+                      0x3F80, 0x2FC0, 0x1200, 0x2980, "F", 0x4A00, 0x3340, 0x4BC0, 0x100, 0x3700)
+    sim = Simulator(params, parse(text))
+    run_until_idle(sim)
+    assert sim.epoch_completion == {0: 90, 1: 91, 2: 131}
+    assert [sim.wpq_entries[pid].root_done_cycle for pid in (14, 16, 17)] == [62, 91, 92]

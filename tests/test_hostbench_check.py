@@ -14,7 +14,7 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "hostbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["ep-fence8", "crash-sweep"])
+@pytest.mark.parametrize("workload", ["ep-fence8", "sp-coldset", "crash-sweep"])
 def test_benchmark_check_passes_on_seed_0(workload):
     done = subprocess.run([sys.executable, str(RUN), "--check", "--workload", workload, "--seed", "0"],
                           capture_output=True, text=True, timeout=300)

@@ -1,8 +1,9 @@
 """A run keeps a constant number of bytes per persist, and its history is read-only.
 
 Each persist's history is one row of the run's columns (the persist record,
-the golden log and the update log); the only objects a persist owns, its
-persist tracking table entry, live while it is in flight, and
+the golden log and the update log).  Besides the trace events not yet
+submitted, the only objects a run keeps are a persist tracking table entry
+per persist in flight and an epoch tracking table entry per live epoch;
 ``wpq_entries``, ``golden.log`` and ``root_history`` build read-only rows
 on demand.
 """
@@ -14,8 +15,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from nvmsim import GenSpec, SimParams, Simulator, generate, run_until_idle
-from nvmsim.engine import PttEntry, WpqEntry
+from nvmsim import SCHEMES, GenSpec, SimParams, Simulator, Store, generate, run_until_idle
+from nvmsim.engine import EttEntry, PttEntry, WpqEntry
 
 from test_epoch_watermark import step
 
@@ -30,7 +31,7 @@ def coalesce_run(stores: int) -> Simulator:
 
 def retained_bytes_per_store(stores: int) -> float:
     """Bytes a finished run holds beyond what it held when built (its
-    caches and its copy of the trace), per store, by tracemalloc."""
+    caches and its queue of trace events), per store, by tracemalloc."""
     events = coalesce_trace(stores)
     gc.collect()
     gc.disable()  # a run frees its objects by refcount; collections would only slow the trace
@@ -59,15 +60,29 @@ def test_no_tracking_entry_outlives_its_persist():
     gc.disable()
     try:
         sim = coalesce_run(200)
-        entries = {}
+        entries, epochs = {}, {}
         while sim.events:
             step(sim)
             entries.update((entry.pid, weakref.ref(entry)) for entry in sim.ptt_order if entry.pid not in entries)
-        assert not sim.outstanding_persists() and len(entries) == 200
+            epochs.update((ett.epoch, weakref.ref(ett)) for ett in sim.ett if ett.epoch not in epochs)
+            # a completed epoch's entry is freed as it completes
+            assert [epoch for epoch in sim.epoch_completion if epochs[epoch]() is not None] == []
+        assert not sim.outstanding_persists() and len(entries) == 200 and len(epochs) == 25
         assert [pid for pid, ref in entries.items() if ref() is not None] == []
-        assert not [obj for obj in gc.get_objects() if isinstance(obj, (PttEntry, WpqEntry))]
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, (PttEntry, WpqEntry, EttEntry))]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_run_keeps_no_store_of_a_trace_its_caller_dropped(scheme):
+    # each event is read once, at submission, so the run lets it go there
+    events = coalesce_trace(64)
+    stores = [weakref.ref(event) for event in events if isinstance(event, Store)]
+    sim = Simulator(SimParams(scheme=scheme), events)
+    del events
+    run_until_idle(sim)
+    assert len(stores) == 64 and [ref for ref in stores if ref() is not None] == []
 
 
 def test_history_views_are_read_only():
