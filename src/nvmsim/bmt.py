@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Mapping, Optional
 
-from .crypto import KeySet, hash_node
+from .crypto import KeySet, hash_node, node_hasher
 from .model_core import SplitCounter
 
 
@@ -126,10 +126,10 @@ class BmtState:
 
     def __init__(self, geometry: BmtGeometry, keys: KeySet) -> None:
         self.geometry = geometry
-        self.keys = keys
         self.values: dict = {}
         # one little-endian 8-byte tag (crypto.TAG_BYTES) per child
         self._pack_tags = struct.Struct(f"<{geometry.arity}Q").pack
+        self._hasher = node_hasher(keys)  # copied per node: keyed once per tree
         self._defaults = _default_digests(geometry, keys.enc, keys.mac)  # by level, root first
         self.root_register = self._defaults[1]
 
@@ -143,25 +143,29 @@ class BmtState:
             return stored
         return self.default_value(self.geometry.level_of(label))
 
-    def compute_node(self, label: int, leaf_block: Optional[bytes] = None) -> int:
-        """Recompute a node's value from its current children, or a leaf's
-        from ``leaf_block``, its counter block in ``SplitCounter.to_block_bytes``
-        layout, which the caller passes for every leaf.
+    def compute_node(self, label: int, level: int, leaf_block: Optional[bytes] = None) -> int:
+        """Recompute the value of node ``label`` at ``level`` from its current
+        children, or a leaf's from ``leaf_block``, its counter block in
+        ``SplitCounter.to_block_bytes`` layout, which the caller passes for
+        every leaf.  The digest is ``hash_node``'s.
 
         Reads happen here, at issue time; committing the value is separate
         so overlapped updates observe pre-update children.
         """
-        if self.geometry.is_leaf(label):
-            return hash_node(leaf_block, self.keys)
-        default = self.default_value(self.geometry.level_of(label) + 1)
-        tags = map(self.values.get, self.geometry.children(label), repeat(default))
-        return hash_node(self._pack_tags(*tags), self.keys)
+        digest = self._hasher.copy()
+        if level == self.geometry.levels:
+            digest.update(leaf_block)
+        else:
+            tags = map(self.values.get, self.geometry.children(label), repeat(self._defaults[level + 1]))
+            digest.update(self._pack_tags(*tags))
+        return int.from_bytes(digest.digest(), "little")
 
     def commit_node(self, label: int, value: int) -> None:
         self.values[label] = value
 
     def apply_node_update(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
-        value = self.compute_node(label, counter_block and counter_block.to_block_bytes())
+        level = self.geometry.level_of(label)
+        value = self.compute_node(label, level, counter_block and counter_block.to_block_bytes())
         self.commit_node(label, value)
         return value
 

@@ -3,20 +3,23 @@
 ``crash`` cuts a finished simulation at a chosen point and reconstructs
 exactly what the persist domain held: NVMM images folded from the
 write-pending-queue entries the engine had let drain by then (by their
-``durable_cycle``), plus the root register.  The point is a cycle, an epoch's
-completion or a persist's completion with one tuple item dropped (modes
-``at-cycle``, ``epoch-boundary``, ``tuple-omission``).  ``recover`` then
-replays what a real controller could do after power loss - rebuild the
-integrity tree from durable counters, check every MAC, decrypt - and reports
-each block's failures (``wrong-plaintext``, ``mac-failure``, ``bmt-failure``)
-with the snapshot it judged; ``as_dict`` tags the snapshot's
-``excluded_addrs`` ``incomplete-epoch``.  ``check_prefix_consistency`` is the
-recovery observer: under strict persistency the recovered state must equal
-some prefix of the persist-order log; under epoch persistency it must match
-the last completed epoch boundary outside the crashed epoch's footprint.
-Durable state only grows as the cut moves later, so recovery memoizes block
-openings and tree digests by their full inputs in bounded LRU memos; every
-check still runs at every point, and the engine's tree path is not memoized.
+``durable_cycle``), plus the root register.  The run computed none of the
+tuples' data: the first cut that reads a persist's blocks seals them, and
+every persist before it, once per run (``PersistRecord.seal``).  The point
+is a cycle, an epoch's completion or a persist's completion with one tuple
+item dropped (modes ``at-cycle``, ``epoch-boundary``, ``tuple-omission``).
+``recover`` then replays what a real controller could do after power loss
+- rebuild the integrity tree from durable counters, check every MAC,
+decrypt - and reports each block's failures (``wrong-plaintext``,
+``mac-failure``, ``bmt-failure``) with the snapshot it judged; ``as_dict``
+tags the snapshot's ``excluded_addrs`` ``incomplete-epoch``.
+``check_prefix_consistency`` is the recovery observer: under strict
+persistency the recovered state must equal some prefix of the persist-order
+log; under epoch persistency it must match the last completed epoch boundary
+outside the crashed epoch's footprint.  Durable state only grows as the cut
+moves later, so recovery memoizes block openings and tree digests by their
+full inputs in bounded LRU memos; every check still runs at every point, and
+the engine's tree path is not memoized.
 """
 
 from __future__ import annotations
@@ -101,7 +104,12 @@ class RecoveryReport:
     matched_prefix: Optional[int] = None
 
     def verdict_set(self, addr: int) -> frozenset:
-        return self.verdicts[addr]
+        """The failures of the block at ``addr``, which must have a durable component at the cut."""
+        try:
+            return self.verdicts[addr]
+        except KeyError:
+            raise ValueError(f"block {addr:#x} has no durable component at the cut, "
+                             f"cycle {self.snapshot.crash_cycle}") from None
 
     def as_dict(self) -> dict:
         return {
@@ -177,6 +185,7 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     # the omitted component keeps what the persist's earlier durable writers left
     kept = [pid for pid in durable if pid != omitted] if skip else durable
 
+    record.seal(end)  # the tuples' data, sealed once per run by the first cut that reads it
     # touched even with one component omitted: its ciphertext or MAC is durable
     expected_plain = _last_writes(addrs, golden.plain.blocks(end), durable)
     data = _last_writes(addrs, record.ciphertext.blocks(end), kept if skip == "ciphertext" else durable)

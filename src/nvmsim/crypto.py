@@ -3,7 +3,9 @@ keyed digest used for tree nodes.
 
 All three primitives are built on one keyed PRF (BLAKE2b) so recovery
 verification is real rather than mocked.  Timing is charged separately by
-the clock model; nothing here costs simulated cycles.
+the clock model; nothing here costs simulated cycles.  The simulator seals
+data blocks (``seal_block``) only when a crash or a view reads them; its tree
+updates hash through ``node_hasher``, the keyed state ``hash_node`` starts from.
 """
 
 from __future__ import annotations
@@ -92,6 +94,17 @@ def open_block(ciphertext: bytes, addr: int, counter, keys: KeySet) -> tuple:
     return _xor(ciphertext, _seed_pad(seed, keys)), _seed_tag(ciphertext, seed, keys)
 
 
+def seal_block(plaintext: bytes, addr: int, counter, keys: KeySet) -> tuple:
+    """Encrypt one 64-byte block and compute its MAC tag, both from one
+    seed: returns ``(ciphertext, tag)``, what ``encrypt`` and ``mac_tag``
+    give, and the inverse of ``open_block``."""
+    if len(plaintext) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes")
+    seed = _SEED.pack(addr, *counter)
+    ciphertext = _xor(plaintext, _seed_pad(seed, keys))
+    return ciphertext, _seed_tag(ciphertext, seed, keys)
+
+
 def hash_node(payload: bytes, keys: KeySet) -> int:
     """Keyed digest of a tree node's child payload.
 
@@ -102,6 +115,13 @@ def hash_node(payload: bytes, keys: KeySet) -> int:
         raise ValueError(f"payload length must be a positive multiple of {TAG_BYTES}")
     digest = hashlib.blake2b(b"node" + payload, key=keys.mac, digest_size=TAG_BYTES).digest()
     return int.from_bytes(digest, "little")
+
+
+def node_hasher(keys: KeySet):
+    """The BLAKE2b state ``hash_node`` reaches before its payload: keyed and
+    ``b"node"`` absorbed.  A copy updated with a payload digests as
+    ``hash_node(payload, keys)`` does, without keying a new object."""
+    return hashlib.blake2b(b"node", key=keys.mac, digest_size=TAG_BYTES)
 
 
 def payload_block(seed: int) -> bytes:

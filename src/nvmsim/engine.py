@@ -55,16 +55,20 @@ A WPQ entry survives power loss from its ``durable_cycle``, when it may
 drain: under SP once its tuple completed, under EP at the later of its
 arrival and its epoch's unlock.
 
-What a run keeps of each persist is one 200-byte row of the columnar
-``PersistRecord`` (six cycles, address, epoch, ciphertext, counter block
-and MAC), its 64-byte plaintext in the golden log, a 24-byte record per
-node update and 24 bytes per root update.  Only the tracking tables hold
-objects, one ``PttEntry`` per persist still climbing the tree, so no
-per-persist object outlives its persist, and ``trace`` lets each event go
-as it is submitted.  ``wpq_entries``, ``root_history`` and ``golden.log``
-read the columns as read-only ``Rows`` of ``WpqEntry`` views, tuples and
-``StoreRecord``s; crash folding and recovery checks read the columns
-themselves.
+What a run keeps of each persist is one 72-byte row of columns: six
+cycles in the ``PersistRecord``, and the address, epoch and payload seed in
+the golden log; plus a 24-byte record per node update and 24 bytes per
+root update.  No scheduling decision reads the tuple's data, so a run
+computes none of it: a persist's plaintext, ciphertext, counter block and
+MAC are sealed, in pid order and once, when a crash or a view first reads
+them (``PersistRecord.seal``).  The tree's node digests are computed as
+updates issue, because the root register is state of the run.  Only the
+tracking tables hold objects, one ``PttEntry`` per persist still climbing
+the tree, so no per-persist object outlives its persist, and ``trace``
+lets each event go as it is submitted.  ``wpq_entries``, ``root_history``
+and ``golden.log`` read the columns as read-only ``Rows`` of ``WpqEntry``
+views, tuples and ``StoreRecord``s; crash folding and recovery checks read
+the columns themselves.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
 from .caches import MetadataCache, cache_sets
-from .crypto import KeySet, encrypt, mac_tag, payload_block
+# the engine encrypts nothing; hostbench/test_hostbench.py wraps and restores the name engine.encrypt
+from .crypto import KeySet, encrypt, seal_block  # noqa: F401
 from .model_core import BLOCK_SIZE, NEVER, PAGE_SIZE, BlockAddr, BlockColumn, GoldenMemory, Rows, SplitCounter
 from .timing import (
     ARRIVAL,
@@ -102,6 +107,7 @@ COMPONENTS = ("ciphertext", "counter", "mac")
 
 _EPOCH = attrgetter("epoch")  # bisect key over Simulator.ett
 _PID = attrgetter("pid")
+_ZERO_COUNTER = SplitCounter()  # an untouched page's counter block
 
 
 @dataclass(frozen=True)
@@ -150,25 +156,31 @@ class PersistRecord:
     cycle and arrive together), its root effect (``root_done``), its
     completion, ``durable`` (queued to drain: it survives power loss from
     here on) and its drain.  ``addr`` and ``epoch`` are the golden log's
-    own columns.  ``ciphertext`` and ``counter_block`` are
-    ``BlockColumn``s, the counter block the ``SplitCounter`` snapshot the
-    persist carried, in ``to_block_bytes`` layout; ``mac`` holds the tags.
-    The root history is three more columns, one row per root update in
-    commit order.
+    own columns.  The root history is three more columns, one row per root
+    update in commit order.
+
+    The tuple's data is sealed on its first read, by ``seal``: a run keeps
+    none of it, and no scheduling decision reads it.  ``ciphertext`` and
+    ``counter_block`` are then ``BlockColumn``s, the counter block the
+    ``SplitCounter`` snapshot the persist carried, in ``to_block_bytes``
+    layout, and ``mac`` holds the tags, each filled for the pids sealed.
     """
 
     __slots__ = ("addr", "epoch", "submit", "arrival", "root_done", "complete", "durable", "drained",
-                 "ciphertext", "counter_block", "mac", "root_cycle", "root_pid", "root_value")
+                 "root_cycle", "root_pid", "root_value",
+                 "plain", "keys", "ciphertext", "counter_block", "mac", "_counters")
 
-    def __init__(self, golden: GoldenMemory) -> None:
+    def __init__(self, golden: GoldenMemory, keys: KeySet) -> None:
         self.addr, self.epoch = golden.addr, golden.epoch
         self.submit, self.arrival, self.root_done = array("q"), array("q"), array("q")
         self.complete, self.durable, self.drained = array("q"), array("q"), array("q")
+        self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
+        self.plain, self.keys = golden.plain, keys
         self.ciphertext, self.mac = BlockColumn(), array("Q")
         self.counter_block = BlockColumn(SplitCounter.from_block_bytes)
-        self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
+        self._counters: Optional[dict] = {}  # page -> counter block after the last sealed pid
 
-    def append(self, submit: int, ciphertext: bytes, counter_block: bytes, mac: int) -> None:
+    def append(self, submit: int) -> None:
         """A new persist, after the golden log took its address and epoch."""
         self.submit.append(submit)
         self.arrival.append(NEVER)
@@ -176,9 +188,37 @@ class PersistRecord:
         self.complete.append(NEVER)
         self.durable.append(NEVER)
         self.drained.append(NEVER)
-        self.ciphertext.data += ciphertext
-        self.counter_block.data += counter_block
-        self.mac.append(mac)
+
+    def seal(self, n: int) -> None:
+        """Fill ``ciphertext``, ``counter_block`` and ``mac`` for the first
+        ``n`` pids, in pid order, each once, as the persists' own stores
+        sealed them: each page's counter block replays its bumps, and the
+        plaintext is encrypted and tagged under the counter it reached."""
+        start, end = len(self.mac), min(n, len(self.submit))
+        if start >= end:
+            return
+        addrs, counters, keys = self.addr, self._counters, self.keys
+        if counters is None:  # sealed to its end before the run went on: each page's last block
+            last = {addrs[pid] // PAGE_SIZE: pid for pid in range(start)}
+            counters = {page: self.counter_block[pid] for page, pid in last.items()}
+        self.plain.fill(end)
+        plain = self.plain.data
+        blocks, ciphertexts, tags = [], [], []
+        for pid in range(start, end):
+            addr = addrs[pid]
+            page, offset = divmod(addr, PAGE_SIZE)
+            block = offset // BLOCK_SIZE
+            counter = counters[page] = counters.get(page, _ZERO_COUNTER).bump(block)
+            blocks.append(counter)
+            plaintext = plain[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE]
+            ciphertext, tag = seal_block(plaintext, addr, counter.effective(block), keys)
+            ciphertexts.append(ciphertext)
+            tags.append(tag)
+        self.counter_block.extend(blocks, b"".join(map(SplitCounter.to_block_bytes, blocks)))
+        self.ciphertext.extend(ciphertexts, b"".join(ciphertexts))
+        self.mac.extend(tags)
+        # a record sealed to its end keeps no replay state
+        self._counters = None if end == len(self.submit) else counters
 
     def __len__(self) -> int:
         return len(self.submit)
@@ -224,17 +264,22 @@ class WpqEntry(tuple):
     def epoch(self) -> int:
         return self[0].epoch[self[1]]
 
+    def _sealed(self) -> PersistRecord:
+        record, pid = self
+        record.seal(pid + 1)
+        return record
+
     @property
     def ciphertext(self) -> bytes:
-        return self[0].ciphertext[self[1]]
+        return self._sealed().ciphertext[self[1]]
 
     @property
     def counter_block(self) -> SplitCounter:
-        return self[0].counter_block[self[1]]
+        return self._sealed().counter_block[self[1]]
 
     @property
     def mac(self) -> int:
-        return self[0].mac[self[1]]
+        return self._sealed().mac[self[1]]
 
     @property
     def arrivals(self) -> dict:
@@ -320,12 +365,13 @@ class Simulator:
         self.mac_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
         self.bmt_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
 
-        self.trace = deque(trace_events)  # events not submitted yet
+        self.trace = list(trace_events)  # events not submitted yet, the next last
+        self.trace.reverse()
         self.trace_done = False
         self.current_epoch = 0  # global epoch counter
         self.page_ready: dict = {}
 
-        self.record = PersistRecord(self.golden)
+        self.record = PersistRecord(self.golden, self.keys)
         # read-only views of the record: those not drained yet occupy the WPQ
         self.wpq_entries = Rows(self.record.__len__, partial(WpqEntry, self.record))
         self.root_history = Rows(self.record.root_cycle.__len__, self.record.root_row)  # (cycle, pid, value)
@@ -372,15 +418,15 @@ class Simulator:
     def _ev_submit(self, _payload) -> None:
         now = self.clock
         trace = self.trace
-        while trace and isinstance(trace[0], Fence):
-            trace.popleft()
+        while trace and isinstance(trace[-1], Fence):
+            trace.pop()
             self.epoch_boundary(now)
         if not trace:
             # final epoch's membership is closed; it may already be complete
             self.trace_done = True
             self._epoch_maybe_complete(now)
             return
-        store = trace[0]
+        store = trace[-1]
         epoch = self.current_epoch
 
         causes = []
@@ -402,7 +448,7 @@ class Simulator:
                 self.stats["stall_cycles"][cause] += now - start
             self._stall_start = None
 
-        trace.popleft()
+        trace.pop()
         self._submit_store(store, epoch, now)
         self.events.push(now + 1, SUBMIT, self._ev_submit)
 
@@ -416,21 +462,15 @@ class Simulator:
     def _submit_store(self, store: Store, epoch: int, now: int) -> None:
         addr = store.addr
         page = addr.page
-        payload = payload_block(store.payload_seed)
-        pid = self.golden.apply_store(addr, payload, epoch)
+        pid = self.golden.apply_store(addr, store.payload_seed, epoch)
 
-        old_block = self.counters.get(page, SplitCounter())
+        old_block = self.counters.get(page, _ZERO_COUNTER)
         new_block = old_block.bump(addr.block_in_page)
         if new_block.major != old_block.major:
             self.stats["counter_overflows"] += 1
         self.counters[page] = new_block
-        counter = new_block.effective(addr.block_in_page)
-
-        ciphertext = encrypt(payload, addr, counter, self.keys)
-        mac = mac_tag(ciphertext, addr, counter, self.keys)
-
         leaf_block = new_block.to_block_bytes()
-        self.record.append(now, ciphertext, leaf_block, mac)
+        self.record.append(now)
 
         # counter block access decides when the new counter (and thus the
         # leaf update and tuple components) is available; bumps to one page
@@ -529,7 +569,7 @@ class Simulator:
         self._issues_this_cycle += 1
 
         # the carried counter block is read only when `label` is the leaf
-        value = self.bmt.compute_node(label, entry.leaf_block)
+        value = self.bmt.compute_node(label, level, entry.leaf_block)
 
         hit = self.bmt_cache.access(label)
         if hit:

@@ -4,7 +4,8 @@
 Everything here is functional state shared by the rest of the simulator;
 no timing lives in this module.  Per-persist history is kept in columns
 (``array`` and ``bytearray``) indexed by persist id, and read through
-``Rows``, read-only sequences whose rows are built on demand.
+``Rows``, read-only sequences whose rows are built on demand.  Block
+columns that only a crash reads are derived when first read.
 """
 
 from __future__ import annotations
@@ -116,24 +117,43 @@ MEMO_BLOCKS = 1 << 15  # blocks a BlockColumn keeps converted, about 0.1 KB each
 
 class BlockColumn:
     """One 64-byte block per persist, end to end in ``data``, a ``bytearray``
-    that writers extend.  ``column[pid]`` reads one block as
-    ``convert(bytes)``.  ``blocks(n)`` reads the first ``n`` as a list, for
-    the crash path: successive crash points of one run read mostly the same
-    blocks, so the first ``MEMO_BLOCKS`` are converted once, when first
-    read, and kept; a run that nobody crashes keeps only its bytes.
+    that ``extend`` fills in pid order.  A derived column is filled on
+    demand: a read of block ``pid`` first extends it by ``derive(len(self),
+    pid + 1)``, the blocks it lacks up to that one, so each block is derived
+    once and a column that nobody reads stays empty.  ``column[pid]`` reads
+    one block as ``convert(bytes)``.  ``blocks(n)`` reads the first ``n`` as
+    a list, for the crash path: successive crash points of one run read
+    mostly the same blocks, so the column also keeps its first
+    ``MEMO_BLOCKS`` blocks as the objects it was extended with.
     """
 
-    __slots__ = ("data", "convert", "_memo")
+    __slots__ = ("data", "convert", "_derive", "_memo")
 
-    def __init__(self, convert=bytes) -> None:
+    def __init__(self, convert=bytes, derive=None) -> None:
         self.data = bytearray()
         self.convert = convert
-        self._memo: list = []  # the first blocks, converted
+        # derive(start, end): a list of the blocks of pids start..end - 1 that exist, as bytes
+        self._derive = derive
+        self._memo: list = []  # the first min(len(self), MEMO_BLOCKS) blocks, converted
 
     def __len__(self) -> int:
+        """Blocks filled so far."""
         return len(self.data) // BLOCK_SIZE
 
+    def extend(self, blocks: list, data: bytes) -> None:
+        """Append blocks: ``blocks`` as ``convert`` reads them, ``data`` their bytes end to end."""
+        self._memo += blocks[:MEMO_BLOCKS - len(self._memo)]
+        self.data += data
+
+    def fill(self, n: int) -> None:
+        """Derive the blocks of the first ``n`` pids this column lacks."""
+        have = len(self)
+        if have < n and self._derive is not None:
+            blocks = self._derive(have, n)
+            self.extend(blocks, b"".join(blocks))
+
     def __getitem__(self, pid: int):
+        self.fill(pid + 1)
         if not 0 <= pid < len(self):
             raise IndexError(f"block {pid} out of range")
         return self.convert(bytes(self.data[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE]))
@@ -145,9 +165,8 @@ class BlockColumn:
     def blocks(self, n: int) -> list:
         """A list whose first ``n`` items are the first ``n`` blocks,
         converted; it may be longer, and is shared, so only read it."""
+        self.fill(n)
         memo = self._memo
-        if len(memo) < min(n, MEMO_BLOCKS):
-            memo += self._convert(range(len(memo), min(n, MEMO_BLOCKS)))
         if n <= len(memo):
             return memo
         return memo + self._convert(range(len(memo), n))
@@ -199,35 +218,46 @@ def _store_record(addrs: array, epochs: array, plain: BlockColumn, pid: int) -> 
     return StoreRecord(pid, BlockAddr(addrs[pid]), plain[pid], epochs[pid])
 
 
+def _payloads(seeds: array, start: int, end: int) -> list:
+    """The plaintexts of the stores ``start..end - 1`` that exist."""
+    from .crypto import payload_block  # crypto imports this module
+
+    return list(map(payload_block, seeds[start:end]))
+
+
 class GoldenMemory:
     """Plaintext shadow memory plus an append-only persist-order log.
 
     The log order equals trace order of stores; recovery checks compare
     durable state against replayed prefixes of this log.  It is kept as
-    columns indexed by persist id: ``addr`` and ``epoch`` (``array``) and
-    ``plain``, a ``BlockColumn`` of plaintexts.  ``log`` reads them as
-    ``StoreRecord`` rows.  Epochs never decrease along the log, so the
-    stores of the epochs up to any one are a prefix of it.
+    columns indexed by persist id: ``addr``, ``epoch`` and ``seed``, each
+    store's payload seed (``array``), and ``plain``, a ``BlockColumn`` of
+    plaintexts derived from the seeds (``crypto.payload_block``) when first
+    read.  ``log`` reads them as ``StoreRecord`` rows.  Epochs never
+    decrease along the log, so the stores of the epochs up to any one are a
+    prefix of it.
     """
 
     def __init__(self) -> None:
         self.addr = array("Q")
         self.epoch = array("q")
-        self.plain = BlockColumn()
-        # the row function holds the columns, not self, so no cycle keeps a run alive
+        self.seed = array("Q")
+        # the functions hold the columns, not self, so no cycle keeps a run alive
+        self.plain = BlockColumn(derive=partial(_payloads, self.seed))
         self.log = Rows(self.addr.__len__, partial(_store_record, self.addr, self.epoch, self.plain))
 
-    def apply_store(self, addr: BlockAddr, data: bytes, epoch: int = 0) -> int:
+    def apply_store(self, addr: BlockAddr, payload_seed: int, epoch: int = 0) -> int:
+        """Log a store of the payload ``crypto.payload_block(payload_seed)``."""
         if not isinstance(addr, BlockAddr):
             addr = BlockAddr(int(addr))
-        if len(data) != BLOCK_SIZE:
-            raise ValueError(f"payload must be {BLOCK_SIZE} bytes, got {len(data)}")
+        if not 0 <= payload_seed < 1 << 64:
+            raise ValueError(f"payload seed out of 64-bit range: {payload_seed}")
         if self.epoch and epoch < self.epoch[-1]:
             raise ValueError(f"epoch {epoch} after epoch {self.epoch[-1]}: epochs must not decrease")
         persist_id = len(self.addr)
         self.addr.append(addr.value)
         self.epoch.append(epoch)
-        self.plain.data += data
+        self.seed.append(payload_seed)
         return persist_id
 
     def state_at_epoch_end(self, epoch: int) -> dict:

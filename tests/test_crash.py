@@ -97,6 +97,16 @@ def test_omission_matrix_rows():
             assert "wrong-plaintext" not in report.verdict_set(other)
 
 
+def test_verdict_of_a_block_with_nothing_durable_names_it_and_the_cut():
+    sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
+    cut = sim.completion_cycle(0) + 10  # persist 1 is mid-path: none of its tuple is durable
+    report = recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry)
+    addr = sim.golden.log[1].addr.value
+    assert report.verdict_set(sim.golden.log[0].addr.value) == frozenset()
+    with pytest.raises(ValueError, match=f"block {addr:#x} has no durable component at the cut, cycle {cut}"):
+        report.verdict_set(addr)
+
+
 def test_omitted_component_leaves_rest_durable():
     sim = run_sim("sequential", trace_text(page_addr(0)))
     snap = crash(sim, CrashPlan("tuple-omission", persist_id=0, component="mac"))

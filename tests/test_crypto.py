@@ -11,6 +11,7 @@ from nvmsim.crypto import (
     mac_tag,
     open_block,
     payload_block,
+    seal_block,
     verify_mac,
 )
 
@@ -129,3 +130,16 @@ def test_open_block_matches_decrypt_and_mac_tag():
             decrypt(ct, addr, counter, KEYS),
             mac_tag(ct, addr, counter, KEYS),
         )
+
+
+def test_seal_block_matches_encrypt_and_mac_tag_and_opens():
+    rng = random.Random(13)
+    for _ in range(500):
+        plain = rng.randbytes(64)
+        addr = rng.randrange(1 << 40) * 64
+        counter = (rng.randrange(1 << 20), rng.randrange(1 << 7))
+        ct, tag = seal_block(plain, addr, counter, KEYS)
+        assert (ct, tag) == (encrypt(plain, addr, counter, KEYS), mac_tag(ct, addr, counter, KEYS))
+        assert open_block(ct, addr, counter, KEYS) == (plain, tag)
+    with pytest.raises(ValueError):
+        seal_block(bytes(63), 0, (0, 0), KEYS)

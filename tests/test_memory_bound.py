@@ -1,7 +1,8 @@
 """A run keeps a constant number of bytes per persist, and its history is read-only.
 
 Each persist's history is one row of the run's columns (the persist record,
-the golden log and the update log).  Besides the trace events not yet
+the golden log and the update log); the blocks of its tuple are sealed only
+when a crash or a view reads them.  Besides the trace events not yet
 submitted, the only objects a run keeps are a persist tracking table entry
 per persist in flight and an epoch tracking table entry per live epoch;
 ``wpq_entries``, ``golden.log`` and ``root_history`` build read-only rows
@@ -50,9 +51,11 @@ def retained_bytes_per_store(stores: int) -> float:
 def test_retained_bytes_per_store_do_not_grow_with_the_run():
     short, long = retained_bytes_per_store(1024), retained_bytes_per_store(8192)
     assert abs(long - short) <= 0.05 * short, (short, long)
-    # a 200-byte record row, a 64-byte plaintext and about two 24-byte
-    # update records per store, with the columns' growth slack
-    assert long < 450, long
+    # a 72-byte row (six cycles, an address, an epoch and a payload seed),
+    # about two 24-byte update records and at most one 24-byte root update
+    # per store, with the columns' growth slack: no block of the tuple's
+    # data, which is sealed only when a crash reads it
+    assert long < 200, long
 
 
 def test_no_tracking_entry_outlives_its_persist():

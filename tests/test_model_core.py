@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
+from nvmsim.crypto import payload_block
 from nvmsim.model_core import (
     BLOCK_SIZE,
     BLOCKS_PER_PAGE,
@@ -144,43 +145,61 @@ class TestSplitCounter:
 class TestGoldenMemory:
     def test_first_store(self):
         mem = GoldenMemory()
-        pid = mem.apply_store(BlockAddr(0x1000), b"\xaa" * 64)
+        pid = mem.apply_store(BlockAddr(0x1000), 0xAA)
         assert pid == 0
         assert mem.log[0].addr.value == 0x1000
-        assert mem.log[0].plaintext == b"\xaa" * 64
+        assert mem.log[0].plaintext == payload_block(0xAA)
 
     def test_last_writer_wins(self):
         mem = GoldenMemory()
-        mem.apply_store(BlockAddr(0x1000), b"\x01" * 64)
-        mem.apply_store(BlockAddr(0x1000), b"\x02" * 64)
+        mem.apply_store(BlockAddr(0x1000), 1)
+        mem.apply_store(BlockAddr(0x1000), 2)
         assert len(mem.log) == 2
-        assert mem.state_at_epoch_end(0)[0x1000] == b"\x02" * 64
+        assert mem.state_at_epoch_end(0)[0x1000] == payload_block(2)
 
     def test_misaligned_store_rejected(self):
         mem = GoldenMemory()
         with pytest.raises(MisalignedAddress):
-            mem.apply_store(0x1001, b"\x00" * 64)
+            mem.apply_store(0x1001, 0)
+
+    def test_seed_out_of_range_rejected(self):
+        mem = GoldenMemory()
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="payload seed"):
+                mem.apply_store(BlockAddr(0), seed)
+        assert len(mem) == 0
 
     def test_log_order_matches_store_order(self):
         mem = GoldenMemory()
         for i in range(10):
-            pid = mem.apply_store(BlockAddr(i * 64), bytes([i]) * 64, epoch=i // 4)
+            pid = mem.apply_store(BlockAddr(i * 64), i, epoch=i // 4)
             assert pid == i
         assert [r.persist_id for r in mem.log] == list(range(10))
+        assert [r.plaintext for r in mem.log] == [payload_block(i) for i in range(10)]
+
+    def test_plaintexts_are_derived_once_in_log_order(self):
+        # a read derives the plaintexts up to the one it reads, and no more
+        mem = GoldenMemory()
+        for i in range(6):
+            mem.apply_store(BlockAddr(i * 64), 100 + i)
+        assert len(mem.plain) == 0
+        assert mem.log[3].plaintext == payload_block(103) and len(mem.plain) == 4
+        assert mem.plain.blocks(2)[:2] == [payload_block(100), payload_block(101)] and len(mem.plain) == 4
+        assert mem.plain.blocks(6)[:6] == list(map(payload_block, range(100, 106)))
 
     def test_epoch_state(self):
         mem = GoldenMemory()
-        mem.apply_store(BlockAddr(0), b"\x01" * 64, epoch=0)
-        mem.apply_store(BlockAddr(0), b"\x02" * 64, epoch=1)
-        assert mem.state_at_epoch_end(0)[0] == b"\x01" * 64
-        assert mem.state_at_epoch_end(1)[0] == b"\x02" * 64
+        mem.apply_store(BlockAddr(0), 1, epoch=0)
+        mem.apply_store(BlockAddr(0), 2, epoch=1)
+        assert mem.state_at_epoch_end(0)[0] == payload_block(1)
+        assert mem.state_at_epoch_end(1)[0] == payload_block(2)
 
     def test_epochs_never_decrease_along_the_log(self):
         # state_at_epoch_end takes an epoch's stores as a log prefix
         mem = GoldenMemory()
-        mem.apply_store(BlockAddr(0), b"\x01" * 64, epoch=1)
+        mem.apply_store(BlockAddr(0), 1, epoch=1)
         with pytest.raises(ValueError, match="must not decrease"):
-            mem.apply_store(BlockAddr(64), b"\x02" * 64, epoch=0)
+            mem.apply_store(BlockAddr(64), 2, epoch=0)
         assert len(mem) == 1 and mem.state_at_epoch_end(0) == {}
 
     def test_counter_block_bytes_round_trip(self):
