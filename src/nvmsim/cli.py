@@ -165,7 +165,7 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
             "ciphertext": {"wrong-plaintext", "mac-failure"},
         }
         target = len(sim.record) - 1
-        completed = sim.record.complete[target]
+        completed = sim.record.completion(target)
         # the cut is the target's completion; when that falls inside its epoch,
         # the epoch's other root effects fail the tree check on their own
         exact = not sim.is_ep or sim.epoch_completion.get(sim.record.epoch[target]) == completed

@@ -147,7 +147,7 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
     if plan.mode == "tuple-omission":
         if plan.persist_id is None or not 0 <= plan.persist_id < len(sim.record):
             raise ValueError(f"no such persist: {plan.persist_id}")
-        cycle = sim.record.complete[plan.persist_id]
+        cycle = sim.record.completion(plan.persist_id)
         if cycle == NEVER:
             raise ValueError(f"persist {plan.persist_id} never completed")
         return cycle
@@ -187,10 +187,10 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
 
     record.seal(end)  # the tuples' data, sealed once per run by the first cut that reads it
     # touched even with one component omitted: its ciphertext or MAC is durable
-    expected_plain = _last_writes(addrs, golden.plain.blocks(end), durable)
-    data = _last_writes(addrs, record.ciphertext.blocks(end), kept if skip == "ciphertext" else durable)
-    macs = _last_writes(addrs, record.mac[:end].tolist(), kept if skip == "mac" else durable)
-    counters = _last_writes(list(map(floordiv, addrs, repeat(PAGE_SIZE))), record.counter_block.blocks(end),
+    expected_plain = _last_writes(addrs, golden.plaintexts(end), durable)
+    data = _last_writes(addrs, record.ciphertext, kept if skip == "ciphertext" else durable)
+    macs = _last_writes(addrs, record.mac, kept if skip == "mac" else durable)
+    counters = _last_writes(list(map(floordiv, addrs, repeat(PAGE_SIZE))), record.counter_block,
                             kept if skip == "counter" else durable)
 
     # root updates commit in cycle order: those by the cut are a prefix
@@ -282,7 +282,7 @@ def _first_matching_prefix(target: dict, golden: GoldenMemory) -> Optional[int]:
     its own address matches."""
     if not target:
         return 0
-    plain = golden.plain.blocks(len(golden))
+    plain = golden.plaintexts(len(golden))
     state: dict = {}
     size = len(target)
     for pid, addr in enumerate(golden.addr):

@@ -55,13 +55,13 @@ A WPQ entry survives power loss from its ``durable_cycle``, when it may
 drain: under SP once its tuple completed, under EP at the later of its
 arrival and its epoch's unlock.
 
-What a run keeps of each persist is one 72-byte row of columns: six
+What a run keeps of each persist is one 64-byte row of columns: five
 cycles in the ``PersistRecord``, and the address, epoch and payload seed in
 the golden log; plus a 24-byte record per node update and 24 bytes per
 root update.  No scheduling decision reads the tuple's data, so a run
 computes none of it: a persist's plaintext, ciphertext, counter block and
-MAC are sealed, in pid order and once, when a crash or a view first reads
-them (``PersistRecord.seal``).  The tree's node digests are computed as
+MAC are sealed, in pid order and once, into plain lists when a crash or a
+view first reads them (``PersistRecord.seal``).  The tree's node digests are computed as
 updates issue, because the root register is state of the run.  Only the
 tracking tables hold objects, one ``PttEntry`` per persist still climbing
 the tree, so no per-persist object outlives its persist, and ``trace``
@@ -87,7 +87,7 @@ from .bmt import BmtGeometry, BmtState
 from .caches import MetadataCache, cache_sets
 # the engine encrypts nothing; hostbench/test_hostbench.py wraps and restores the name engine.encrypt
 from .crypto import KeySet, encrypt, seal_block  # noqa: F401
-from .model_core import BLOCK_SIZE, NEVER, PAGE_SIZE, BlockAddr, BlockColumn, GoldenMemory, Rows, SplitCounter
+from .model_core import BLOCK_SIZE, NEVER, PAGE_SIZE, BlockAddr, GoldenMemory, Rows, SplitCounter
 from .timing import (
     ARRIVAL,
     DRAIN,
@@ -153,41 +153,43 @@ class PersistRecord:
     ``submit`` holds the submission cycle.  The other cycle columns hold
     ``NEVER``, a cycle no cut reaches, until their event happens: the
     tuple's ``arrival`` in the WPQ (its three components are ready at one
-    cycle and arrive together), its root effect (``root_done``), its
-    completion, ``durable`` (queued to drain: it survives power loss from
-    here on) and its drain.  ``addr`` and ``epoch`` are the golden log's
-    own columns.  The root history is three more columns, one row per root
-    update in commit order.
+    cycle and arrive together), its root effect (``root_done``),
+    ``durable`` (queued to drain: it survives power loss from here on) and
+    its drain.  A persist completes at the later of its arrival and its
+    root effect (``completion``).  ``addr`` and ``epoch`` are the golden
+    log's own columns.  The root history is three more columns, one row per
+    root update in commit order.
 
     The tuple's data is sealed on its first read, by ``seal``: a run keeps
     none of it, and no scheduling decision reads it.  ``ciphertext`` and
-    ``counter_block`` are then ``BlockColumn``s, the counter block the
-    ``SplitCounter`` snapshot the persist carried, in ``to_block_bytes``
-    layout, and ``mac`` holds the tags, each filled for the pids sealed.
+    ``counter_block`` are then lists of each sealed pid's ciphertext and
+    the ``SplitCounter`` snapshot it carried, and ``mac`` holds the tags.
     """
 
-    __slots__ = ("addr", "epoch", "submit", "arrival", "root_done", "complete", "durable", "drained",
+    __slots__ = ("addr", "epoch", "submit", "arrival", "root_done", "durable", "drained",
                  "root_cycle", "root_pid", "root_value",
-                 "plain", "keys", "ciphertext", "counter_block", "mac", "_counters")
+                 "plaintexts", "keys", "ciphertext", "counter_block", "mac", "_counters")
 
     def __init__(self, golden: GoldenMemory, keys: KeySet) -> None:
         self.addr, self.epoch = golden.addr, golden.epoch
         self.submit, self.arrival, self.root_done = array("q"), array("q"), array("q")
-        self.complete, self.durable, self.drained = array("q"), array("q"), array("q")
+        self.durable, self.drained = array("q"), array("q")
         self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
-        self.plain, self.keys = golden.plain, keys
-        self.ciphertext, self.mac = BlockColumn(), array("Q")
-        self.counter_block = BlockColumn(SplitCounter.from_block_bytes)
-        self._counters: Optional[dict] = {}  # page -> counter block after the last sealed pid
+        self.plaintexts, self.keys = golden.plaintexts, keys
+        self.ciphertext, self.counter_block, self.mac = [], [], array("Q")
+        self._counters: dict = {}  # page -> counter block after the last sealed pid
 
     def append(self, submit: int) -> None:
         """A new persist, after the golden log took its address and epoch."""
         self.submit.append(submit)
         self.arrival.append(NEVER)
         self.root_done.append(NEVER)
-        self.complete.append(NEVER)
         self.durable.append(NEVER)
         self.drained.append(NEVER)
+
+    def completion(self, pid: int) -> int:
+        """The cycle persist ``pid`` completed its whole tuple, or ``NEVER``."""
+        return max(self.arrival[pid], self.root_done[pid])
 
     def seal(self, n: int) -> None:
         """Fill ``ciphertext``, ``counter_block`` and ``mac`` for the first
@@ -197,28 +199,17 @@ class PersistRecord:
         start, end = len(self.mac), min(n, len(self.submit))
         if start >= end:
             return
-        addrs, counters, keys = self.addr, self._counters, self.keys
-        if counters is None:  # sealed to its end before the run went on: each page's last block
-            last = {addrs[pid] // PAGE_SIZE: pid for pid in range(start)}
-            counters = {page: self.counter_block[pid] for page, pid in last.items()}
-        self.plain.fill(end)
-        plain = self.plain.data
-        blocks, ciphertexts, tags = [], [], []
+        addrs, counters, keys, plain = self.addr, self._counters, self.keys, self.plaintexts(end)
+        blocks, ciphertexts, tags = self.counter_block, self.ciphertext, self.mac
         for pid in range(start, end):
             addr = addrs[pid]
             page, offset = divmod(addr, PAGE_SIZE)
             block = offset // BLOCK_SIZE
             counter = counters[page] = counters.get(page, _ZERO_COUNTER).bump(block)
+            ciphertext, tag = seal_block(plain[pid], addr, counter.effective(block), keys)
             blocks.append(counter)
-            plaintext = plain[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE]
-            ciphertext, tag = seal_block(plaintext, addr, counter.effective(block), keys)
             ciphertexts.append(ciphertext)
             tags.append(tag)
-        self.counter_block.extend(blocks, b"".join(map(SplitCounter.to_block_bytes, blocks)))
-        self.ciphertext.extend(ciphertexts, b"".join(ciphertexts))
-        self.mac.extend(tags)
-        # a record sealed to its end keeps no replay state
-        self._counters = None if end == len(self.submit) else counters
 
     def __len__(self) -> int:
         return len(self.submit)
@@ -252,9 +243,13 @@ class WpqEntry(tuple):
     submit_cycle = _cycle("submit")
     arrival_cycle = _cycle("arrival")
     root_done_cycle = _cycle("root_done")
-    complete_cycle = _cycle("complete")
     durable_cycle = _cycle("durable")
     drained_cycle = _cycle("drained")
+
+    @property
+    def complete_cycle(self) -> Optional[int]:
+        cycle = self[0].completion(self[1])
+        return None if cycle == NEVER else cycle
 
     @property
     def addr(self) -> BlockAddr:
@@ -679,7 +674,7 @@ class Simulator:
             return
         if head.next_idx == 0:
             # a fresh head waits for its predecessor's whole tuple
-            if head.pid and self.record.complete[head.pid - 1] == NEVER:
+            if head.pid and self.record.completion(head.pid - 1) == NEVER:
                 return
             if head.ready_cycle > now:
                 self._schedule_kick(head.ready_cycle)
@@ -764,7 +759,6 @@ class Simulator:
         record = self.record
         if record.arrival[pid] == NEVER or record.root_done[pid] == NEVER:
             return
-        record.complete[pid] = now
         if self.is_ep:
             # an epoch with an incomplete member is live; only the oldest can complete
             ett = self.ett[bisect_left(self.ett, record.epoch[pid], key=_EPOCH)]
@@ -892,14 +886,14 @@ class Simulator:
         return tuple(self.iter_update_log())
 
     def completion_cycle(self, pid: int) -> Optional[int]:
-        cycle = self.record.complete[pid]
+        cycle = self.record.completion(pid)
         return None if cycle == NEVER else cycle
 
     def outstanding_persists(self) -> list:
-        complete = self.record.complete
-        if NEVER not in complete:  # one C-level scan
+        arrival, root_done = self.record.arrival, self.record.root_done
+        if NEVER not in arrival and NEVER not in root_done:  # two C-level scans
             return []
-        return [pid for pid, cycle in enumerate(complete) if cycle == NEVER]
+        return [pid for pid, cycle in enumerate(map(max, arrival, root_done)) if cycle == NEVER]
 
     def pending_trace_events(self) -> int:
         return len(self.trace)
@@ -921,15 +915,12 @@ class Simulator:
         return self.latency.cache_hit
 
     def last_completion_cycle(self) -> int:
-        complete = self.record.complete
-        if NEVER in complete:  # a run in flight
-            return max(filter(NEVER.__ne__, complete), default=0)
-        return max(complete, default=0)
+        return max(filter(NEVER.__ne__, map(max, self.record.arrival, self.record.root_done)), default=0)
 
     def stats_dict(self) -> dict:
         record = self.record
         out = dict(self.stats, persists_submitted=len(record), root_updates=len(record.root_cycle),
-                   persists_completed=len(record) - record.complete.count(NEVER),  # one C-level scan
+                   persists_completed=len(record) - len(self.outstanding_persists()),
                    bmt_fills=self.bmt_cache.stats.misses)
         out["stall_cycles"] = dict(self.stats["stall_cycles"])
         out["total_cycles"] = self.clock

@@ -2,10 +2,10 @@
 (oracle) plaintext memory.
 
 Everything here is functional state shared by the rest of the simulator;
-no timing lives in this module.  Per-persist history is kept in columns
-(``array`` and ``bytearray``) indexed by persist id, and read through
-``Rows``, read-only sequences whose rows are built on demand.  Block
-columns that only a crash reads are derived when first read.
+no timing lives in this module.  Per-persist history is kept in ``array``
+columns indexed by persist id, and read through ``Rows``, read-only
+sequences whose rows are built on demand.  Blocks that only a crash reads
+are derived when first read, into plain lists.
 """
 
 from __future__ import annotations
@@ -112,66 +112,6 @@ class SplitCounter:
         return cls(int.from_bytes(block[:8], "little"), int.from_bytes(block[8:], "little"))
 
 
-MEMO_BLOCKS = 1 << 15  # blocks a BlockColumn keeps converted, about 0.1 KB each
-
-
-class BlockColumn:
-    """One 64-byte block per persist, end to end in ``data``, a ``bytearray``
-    that ``extend`` fills in pid order.  A derived column is filled on
-    demand: a read of block ``pid`` first extends it by ``derive(len(self),
-    pid + 1)``, the blocks it lacks up to that one, so each block is derived
-    once and a column that nobody reads stays empty.  ``column[pid]`` reads
-    one block as ``convert(bytes)``.  ``blocks(n)`` reads the first ``n`` as
-    a list, for the crash path: successive crash points of one run read
-    mostly the same blocks, so the column also keeps its first
-    ``MEMO_BLOCKS`` blocks as the objects it was extended with.
-    """
-
-    __slots__ = ("data", "convert", "_derive", "_memo")
-
-    def __init__(self, convert=bytes, derive=None) -> None:
-        self.data = bytearray()
-        self.convert = convert
-        # derive(start, end): a list of the blocks of pids start..end - 1 that exist, as bytes
-        self._derive = derive
-        self._memo: list = []  # the first min(len(self), MEMO_BLOCKS) blocks, converted
-
-    def __len__(self) -> int:
-        """Blocks filled so far."""
-        return len(self.data) // BLOCK_SIZE
-
-    def extend(self, blocks: list, data: bytes) -> None:
-        """Append blocks: ``blocks`` as ``convert`` reads them, ``data`` their bytes end to end."""
-        self._memo += blocks[:MEMO_BLOCKS - len(self._memo)]
-        self.data += data
-
-    def fill(self, n: int) -> None:
-        """Derive the blocks of the first ``n`` pids this column lacks."""
-        have = len(self)
-        if have < n and self._derive is not None:
-            blocks = self._derive(have, n)
-            self.extend(blocks, b"".join(blocks))
-
-    def __getitem__(self, pid: int):
-        self.fill(pid + 1)
-        if not 0 <= pid < len(self):
-            raise IndexError(f"block {pid} out of range")
-        return self.convert(bytes(self.data[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE]))
-
-    def _convert(self, pids: range) -> list:
-        with memoryview(self.data) as data:
-            return [self.convert(data[pid * BLOCK_SIZE:(pid + 1) * BLOCK_SIZE].tobytes()) for pid in pids]
-
-    def blocks(self, n: int) -> list:
-        """A list whose first ``n`` items are the first ``n`` blocks,
-        converted; it may be longer, and is shared, so only read it."""
-        self.fill(n)
-        memo = self._memo
-        if n <= len(memo):
-            return memo
-        return memo + self._convert(range(len(memo), n))
-
-
 class Rows(Sequence):
     """A read-only sequence of ``row(i)`` for ``i < size()``, each row built
     when it is read.  It equals any sequence with equal rows."""
@@ -214,15 +154,17 @@ class StoreRecord:
     epoch: int
 
 
-def _store_record(addrs: array, epochs: array, plain: BlockColumn, pid: int) -> StoreRecord:
-    return StoreRecord(pid, BlockAddr(addrs[pid]), plain[pid], epochs[pid])
+def _plaintexts(seeds: array, plain: list, n: int) -> list:
+    """``plain``, the plaintexts derived so far, extended to the first ``n`` stores that exist."""
+    if len(plain) < n:
+        from .crypto import payload_block  # crypto imports this module
+
+        plain.extend(map(payload_block, seeds[len(plain):n]))
+    return plain
 
 
-def _payloads(seeds: array, start: int, end: int) -> list:
-    """The plaintexts of the stores ``start..end - 1`` that exist."""
-    from .crypto import payload_block  # crypto imports this module
-
-    return list(map(payload_block, seeds[start:end]))
+def _store_record(addrs: array, epochs: array, seeds: array, plain: list, pid: int) -> StoreRecord:
+    return StoreRecord(pid, BlockAddr(addrs[pid]), _plaintexts(seeds, plain, pid + 1)[pid], epochs[pid])
 
 
 class GoldenMemory:
@@ -231,20 +173,20 @@ class GoldenMemory:
     The log order equals trace order of stores; recovery checks compare
     durable state against replayed prefixes of this log.  It is kept as
     columns indexed by persist id: ``addr``, ``epoch`` and ``seed``, each
-    store's payload seed (``array``), and ``plain``, a ``BlockColumn`` of
-    plaintexts derived from the seeds (``crypto.payload_block``) when first
-    read.  ``log`` reads them as ``StoreRecord`` rows.  Epochs never
-    decrease along the log, so the stores of the epochs up to any one are a
-    prefix of it.
+    store's payload seed (``array``), and ``plain``, a list of the
+    plaintexts derived from the seeds (``crypto.payload_block``) so far,
+    which ``plaintexts`` extends in log order.  ``log`` reads them as
+    ``StoreRecord`` rows.  Epochs never decrease along the log, so the
+    stores of the epochs up to any one are a prefix of it.
     """
 
     def __init__(self) -> None:
         self.addr = array("Q")
         self.epoch = array("q")
         self.seed = array("Q")
-        # the functions hold the columns, not self, so no cycle keeps a run alive
-        self.plain = BlockColumn(derive=partial(_payloads, self.seed))
-        self.log = Rows(self.addr.__len__, partial(_store_record, self.addr, self.epoch, self.plain))
+        self.plain: list = []
+        # the function holds the columns, not self, so no cycle keeps a run alive
+        self.log = Rows(self.addr.__len__, partial(_store_record, self.addr, self.epoch, self.seed, self.plain))
 
     def apply_store(self, addr: BlockAddr, payload_seed: int, epoch: int = 0) -> int:
         """Log a store of the payload ``crypto.payload_block(payload_seed)``."""
@@ -260,11 +202,16 @@ class GoldenMemory:
         self.seed.append(payload_seed)
         return persist_id
 
+    def plaintexts(self, n: int) -> list:
+        """A list whose first ``n`` items are the plaintexts of the first
+        ``n`` stores; it may be longer, and is shared, so only read it."""
+        return _plaintexts(self.seed, self.plain, n)
+
     def state_at_epoch_end(self, epoch: int) -> dict:
         """Plaintext state after every store of epochs <= ``epoch``: each
         address's last write in the log prefix of those epochs."""
         n = bisect_right(self.epoch, epoch)
-        return dict(zip(islice(self.addr, n), self.plain.blocks(n)))
+        return dict(zip(islice(self.addr, n), self.plaintexts(n)))
 
     def __len__(self) -> int:
         return len(self.addr)

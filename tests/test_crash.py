@@ -299,7 +299,7 @@ def reference_durable_pids(sim, cut):
     durable = set()
     epoch = done = None
     unlocked = False
-    for pid, (entry_epoch, arrival, complete) in enumerate(zip(record.epoch, record.arrival, record.complete)):
+    for pid, (entry_epoch, arrival, root_done) in enumerate(zip(record.epoch, record.arrival, record.root_done)):
         if sim.is_ep:
             if entry_epoch != epoch:
                 unlocked = epoch is None or (done is not None and done + 1 <= cut)
@@ -307,7 +307,7 @@ def reference_durable_pids(sim, cut):
                 done = sim.epoch_completion.get(epoch)
             if unlocked and arrival <= cut:
                 durable.add(pid)
-        elif complete <= cut:
+        elif max(arrival, root_done) <= cut:
             durable.add(pid)
     return durable
 

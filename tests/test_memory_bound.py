@@ -2,7 +2,7 @@
 
 Each persist's history is one row of the run's columns (the persist record,
 the golden log and the update log); the blocks of its tuple are sealed only
-when a crash or a view reads them.  Besides the trace events not yet
+when a crash or a view reads them, each once, into plain lists.  Besides the trace events not yet
 submitted, the only objects a run keeps are a persist tracking table entry
 per persist in flight and an epoch tracking table entry per live epoch;
 ``wpq_entries``, ``golden.log`` and ``root_history`` build read-only rows
@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from nvmsim import SCHEMES, GenSpec, SimParams, Simulator, Store, generate, run_until_idle
+from nvmsim import SCHEMES, CrashPlan, GenSpec, SimParams, Simulator, Store, crash, generate, run_until_idle
 from nvmsim.engine import EttEntry, PttEntry, WpqEntry
 
 from test_epoch_watermark import step
@@ -51,11 +51,39 @@ def retained_bytes_per_store(stores: int) -> float:
 def test_retained_bytes_per_store_do_not_grow_with_the_run():
     short, long = retained_bytes_per_store(1024), retained_bytes_per_store(8192)
     assert abs(long - short) <= 0.05 * short, (short, long)
-    # a 72-byte row (six cycles, an address, an epoch and a payload seed),
+    # a 64-byte row (five cycles, an address, an epoch and a payload seed),
     # about two 24-byte update records and at most one 24-byte root update
     # per store, with the columns' growth slack: no block of the tuple's
     # data, which is sealed only when a crash reads it
     assert long < 200, long
+
+
+def sealed_bytes_per_store(stores: int) -> float:
+    """Bytes that a crash at the end of a finished run leaves sealed in the
+    run, per store, by tracemalloc: every persist's plaintext, ciphertext,
+    counter block and MAC."""
+    sim = coalesce_run(stores)
+    run_until_idle(sim)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        crash(sim, CrashPlan("at-cycle", cycle=sim.clock))
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - base) / stores
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_sealed_bytes_per_store_are_each_block_once():
+    short, long = sealed_bytes_per_store(1024), sealed_bytes_per_store(8192)
+    assert abs(long - short) <= 0.05 * short, (short, long)
+    # a 64-byte plaintext and ciphertext as bytes objects (112 B each), a
+    # SplitCounter snapshot, an 8-byte MAC and three list slots: no second,
+    # packed copy of any block
+    assert long < 400, long
 
 
 def test_no_tracking_entry_outlives_its_persist():

@@ -184,8 +184,8 @@ class TestGoldenMemory:
             mem.apply_store(BlockAddr(i * 64), 100 + i)
         assert len(mem.plain) == 0
         assert mem.log[3].plaintext == payload_block(103) and len(mem.plain) == 4
-        assert mem.plain.blocks(2)[:2] == [payload_block(100), payload_block(101)] and len(mem.plain) == 4
-        assert mem.plain.blocks(6)[:6] == list(map(payload_block, range(100, 106)))
+        assert mem.plaintexts(2)[:2] == [payload_block(100), payload_block(101)] and len(mem.plain) == 4
+        assert mem.plaintexts(6) == list(map(payload_block, range(100, 106)))
 
     def test_epoch_state(self):
         mem = GoldenMemory()
