@@ -5,18 +5,23 @@ Every persist waits in one queue, ``ptt_order`` (the persist tracking
 table in submission order, persisted entries popped from its head).  The
 schemes differ only in the dispatch policy that picks which queued
 persists issue their next node update, run on every kick, after every
-node update and, under ``sequential``, on every tuple completion:
+node update and, under strict persistency (SP), when the tuple arrives of
+a head that waits at the root:
 
-* ``sequential``  - strict persistency: only the head issues, and a fresh
-  head starts only once it is ready and persist ``pid - 1`` completed its
-  whole tuple (including the root effect), so one persist owns the whole
-  tree update path at a time.
-* ``pipeline``    - strict persistency, lockstep waves: when no update is
-  in flight, the ready head of the unstarted persists joins and every
-  started persist issues, so each sits on a distinct tree level and root
-  updates retire at one per MAC latency.  Persists reach the root in the
-  order they joined, so the started ones are always a prefix of
-  ``ptt_order`` and the first unstarted entry is the next to join.
+* ``sequential``  - SP: only the head issues, once it is ready, so one
+  persist owns the whole tree update path at a time.
+* ``pipeline``    - SP, lockstep waves: when no update is in flight, the
+  ready head of the unstarted persists joins and every started persist
+  issues, so each sits on a distinct tree level and root updates retire
+  at one per MAC latency.  Persists reach the root in the order they
+  joined, so the started ones are always a prefix of ``ptt_order`` and
+  the first unstarted entry is the next to join.
+
+Under SP a persist's root update issues only once its tuple has arrived:
+the ``sequential`` head, or the whole ``pipeline`` wave while its first
+member is at the root, waits for it.  So a root effect never covers a
+counter block that is not yet durable, and an SP persist completes at its
+root effect.
 * ``ooo``         - epoch persistency: persists of the same epoch climb
   independently, but a younger epoch's update issues only strictly deeper
   than every level an older live epoch holds (the level of an update in
@@ -666,25 +671,26 @@ class Simulator:
 
     # sequential -------------------------------------------------------
 
+    def _waits_at_root(self, entry: PttEntry) -> bool:
+        """Its next update is the root's and its tuple has not arrived: under
+        SP a root effect lands no earlier than the tuple it covers."""
+        return entry.next_idx == self.geometry.levels - 1 and self.record.arrival[entry.pid] == NEVER
+
     def _sequential_dispatch(self, now: int) -> None:
         if not self.ptt_order:
             return
         head = self.ptt_order[0]
-        if head.inflight:
+        if head.inflight or self._waits_at_root(head):
             return
-        if head.next_idx == 0:
-            # a fresh head waits for its predecessor's whole tuple
-            if head.pid and self.record.completion(head.pid - 1) == NEVER:
-                return
-            if head.ready_cycle > now:
-                self._schedule_kick(head.ready_cycle)
-                return
+        if head.next_idx == 0 and head.ready_cycle > now:
+            self._schedule_kick(head.ready_cycle)
+            return
         self._issue_update(head, now)
 
     # pipeline ---------------------------------------------------------
 
     def _pipeline_dispatch(self, now: int) -> None:
-        if self.inflight_updates:
+        if self.inflight_updates or (self.ptt_order and self._waits_at_root(self.ptt_order[0])):
             return
         # the started persists are a prefix of ptt_order; the first
         # unstarted one joins the wave once it is ready
@@ -751,9 +757,14 @@ class Simulator:
         now, record = self.clock, self.record
         record.arrival[pid] = now
         self._check_complete(pid, now)
-        ett = self._unlocked(now)  # under EP an entry of the unlocked epoch drains as it arrives
-        if ett is not None and ett.epoch == record.epoch[pid] and record.durable[pid] == NEVER:
-            self._queue_drain(pid, now)
+        if self.is_ep:
+            ett = self._unlocked(now)  # an entry of the unlocked epoch drains as it arrives
+            if ett is not None and ett.epoch == record.epoch[pid]:
+                self._queue_drain(pid, now)
+        elif self.ptt_order:
+            head = self.ptt_order[0]
+            if head.pid == pid and head.next_idx == self.geometry.levels - 1 and not head.inflight:
+                self._dispatch(self, now)  # the head waited at the root for this tuple
 
     def _check_complete(self, pid: int, now: int) -> None:
         record = self.record
@@ -767,8 +778,6 @@ class Simulator:
                 self._epoch_maybe_complete(now)
         else:
             self._queue_drain(pid, now)  # under SP a completed tuple may drain
-        if self.scheme == "sequential":
-            self._dispatch(self, now)  # the next persist may start now
 
     def _unlocked(self, now: int) -> Optional[EttEntry]:
         """The live epoch whose WPQ entries may drain at ``now``, if any: the

@@ -254,15 +254,39 @@ def verdict_at(params, spec, cut):
     return check_prefix_consistency(report, sim.golden)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="SP root register lands at the root commit, before the persist's tuple arrives")
 def test_sp_root_lands_no_earlier_than_its_tuple():
-    # with a MAC latency of 0 a root commits a cycle before its tuple arrives,
-    # so a cut between the two holds a root over a counter block not yet durable
+    # with a MAC latency of 0 a root could commit a cycle before its tuple
+    # arrived, so a cut between the two held a root over a counter block not
+    # yet durable; the root update now waits for the tuple
     params = SimParams(scheme="sequential", arity=2, levels=4, cache_kb=1, latency=LatencyConfig(
         mac_latency=0, cache_hit=0, cache_fill=0, wpq_enqueue=1, drain_interval=1))
     result = verdict_at(params, GenSpec(store_count=36, pages=8, run_length=2, fence_interval=3, seed=8), 1)
-    assert result.ok, result.violation  # fails with crash-recovery-tuple
+    assert result.ok, result.violation  # failed with crash-recovery-tuple
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "pipeline"])
+def test_sp_recovers_a_prefix_at_every_cut(scheme):
+    # seeded small configurations, mostly at a MAC latency of 0 and with
+    # tuples that arrive late, cut at every cycle where durable state changes
+    for seed in range(100):
+        rng = random.Random(seed)
+        arity = rng.choice((2, 3, 8))
+        latency = LatencyConfig(mac_latency=rng.choice((0, 0, 1, 40)), cache_hit=rng.choice((0, 2)),
+                                cache_fill=rng.choice((0, 5, 200)), wpq_enqueue=rng.choice((0, 1, 3, 10)),
+                                drain_interval=rng.choice((1, 8)))
+        params = SimParams(scheme=scheme, arity=arity, levels={2: 6, 3: 5, 8: 4}[arity], latency=latency,
+                           ideal_caches=rng.random() < 0.5, cache_kb=1, wpq_capacity=rng.choice((2, 8, 128)),
+                           ptt_capacity=rng.choice((1, 4, 64)), seed=seed)
+        spec = GenSpec(store_count=rng.randrange(5, 41), pages=rng.choice((2, 8, 32)),
+                       run_length=rng.randrange(1, 4), fence_interval=rng.randrange(4), seed=seed)
+        sim = Simulator(params, generate(spec))
+        run_until_idle(sim)
+        record = sim.record
+        assert all(cycle >= record.arrival[pid] for cycle, pid in zip(record.root_cycle, record.root_pid)), seed
+        for cut in sorted({0, sim.clock, *record.durable, *record.root_cycle}):
+            report = recover(crash(sim, CrashPlan("at-cycle", cycle=cut)), sim.keys, sim.geometry)
+            result = check_prefix_consistency(report, sim.golden)
+            assert result.ok, (seed, cut, result.violation)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
