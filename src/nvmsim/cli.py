@@ -165,16 +165,17 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
             "ciphertext": {"wrong-plaintext", "mac-failure"},
         }
         target = len(sim.record) - 1
-        completed = sim.record.completion(target)
-        # the cut is the target's completion; when that falls inside its epoch,
-        # the epoch's other root effects fail the tree check on their own
-        exact = not sim.is_ep or sim.epoch_completion.get(sim.record.epoch[target]) == completed
+        # the cut is the target's completion, or its unlock if that is later
+        # (EP), so that its tuple is durable; when the cut falls inside its
+        # epoch, the epoch's other root effects fail the tree check on their own
+        cut = max(sim.record.completion(target), sim.record.durable[target])
+        exact = not sim.is_ep or sim.epoch_completion.get(sim.record.epoch[target]) == cut
         # the target's root write can repeat a register value another persist
         # of its epoch already wrote; dropping it then leaves nothing to detect
-        register = crash(sim, CrashPlan("at-cycle", cycle=completed)).root_register
+        register = crash(sim, CrashPlan("at-cycle", cycle=cut)).root_register
         matrix = {}
         for comp, want in expected.items():
-            snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=target, component=comp))
+            snapshot = crash(sim, CrashPlan("tuple-omission", cycle=cut, persist_id=target, component=comp))
             row = {}
             if comp == "root":
                 row["root_register_changed"] = snapshot.root_register != register

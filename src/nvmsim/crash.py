@@ -51,7 +51,10 @@ def open_durable(ciphertext: bytes, addr: int, counter: tuple, enc: bytes, mac: 
 
 @dataclass(frozen=True)
 class CrashPlan:
-    """One injection: a crash point, or a crash plus one dropped tuple item."""
+    """One injection: a crash point, or a crash plus one dropped tuple item.
+
+    A tuple-omission plan cuts at its persist's completion, or at ``cycle``
+    if given, which must not be before that completion."""
 
     mode: str
     cycle: Optional[int] = None
@@ -150,7 +153,11 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
         cycle = sim.record.completion(plan.persist_id)
         if cycle == NEVER:
             raise ValueError(f"persist {plan.persist_id} never completed")
-        return cycle
+        if plan.cycle is None:
+            return cycle
+        if plan.cycle < cycle:
+            raise ValueError(f"cut {plan.cycle} is before persist {plan.persist_id} completed at {cycle}")
+        return plan.cycle
     if plan.epoch not in sim.epoch_completion:
         raise ValueError(f"epoch {plan.epoch} never completed")
     return sim.epoch_completion[plan.epoch]

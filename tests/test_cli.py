@@ -322,6 +322,37 @@ def test_omission_root_row_expects_no_failure_when_the_register_is_unchanged(cap
     assert root["expected"] == root["got"] == [] and root["match"]
 
 
+def test_omission_matrix_cuts_once_the_last_tuple_is_durable(capsys):
+    # the last persist completes at cycle 2, but its epoch unlocks, and its
+    # tuple becomes durable, only at 3: a cut at 2 holds no component of its block
+    code, out, _ = run_cli(
+        capsys, "crash-sweep", "--omission-matrix", "--scheme", "ooo", "--epoch-size", "2", "--seed", "681",
+        "--gen-stores", "3", "--gen-pages", "64", "--arity", "8", "--levels", "4", "--mac-latency", "0",
+        "--wpq-enqueue", "0", "--cache-hit", "0", "--cache-fill", "200", "--ett-capacity", "2",
+        "--mac-units", "0", "--drain-interval", "1", "--ideal-caches",
+    )
+    assert code == EXIT_OK
+    rows = json.loads(out)["omission_matrix"]
+    assert {row["comparison"] for row in rows.values()} == {"exact"}
+    assert all(row["match"] for row in rows.values())
+
+
+def test_omission_matrix_of_small_ep_configurations_exits_with_a_verdict(capsys):
+    rng = random.Random(22)
+    for _ in range(400):
+        arity = rng.choice((2, 8))
+        argv = ["crash-sweep", "--omission-matrix", "--scheme", rng.choice(("ooo", "coalesce")),
+                "--epoch-size", rng.randrange(5), "--seed", rng.randrange(1000), "--gen-stores", rng.randrange(1, 41),
+                "--gen-pages", rng.choice((2, 8, 64)), "--arity", arity, "--levels", {2: 7, 8: 4}[arity],
+                "--mac-latency", rng.choice((0, 1, 40)), "--wpq-enqueue", rng.choice((0, 1, 3)),
+                "--cache-hit", rng.choice((0, 2)), "--cache-fill", rng.choice((0, 200)),
+                "--ett-capacity", rng.randrange(1, 4), "--mac-units", rng.randrange(3),
+                "--drain-interval", rng.choice((1, 8))] + ["--ideal-caches"] * (rng.random() < 0.5)
+        argv = list(map(str, argv))
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_VIOLATION), (argv, err)
+
+
 def test_run_config_fields_are_derived_from_their_sources():
     sources = {f.name: f.default for f in fields(SimParams) if f.name != "latency"}
     sources.update((f.name, f.default) for f in fields(LatencyConfig))

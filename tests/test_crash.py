@@ -37,6 +37,16 @@ def test_omission_needs_a_completed_persist():
         crash(sim, CrashPlan("tuple-omission", persist_id=2, component="mac"))
 
 
+def test_omission_cut_is_no_earlier_than_the_completion():
+    sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
+    done = sim.completion_cycle(0)
+    assert crash(sim, CrashPlan("tuple-omission", persist_id=0, component="mac")).crash_cycle == done
+    late = CrashPlan("tuple-omission", cycle=done + 5, persist_id=0, component="mac")
+    assert crash(sim, late).crash_cycle == done + 5
+    with pytest.raises(ValueError, match="before persist 0 completed"):
+        crash(sim, CrashPlan("tuple-omission", cycle=done - 1, persist_id=0, component="mac"))
+
+
 def test_crash_plan_validation():
     with pytest.raises(ValueError):
         CrashPlan("bogus")
