@@ -5,8 +5,8 @@ Every persist waits in one queue, ``ptt_order`` (the persist tracking
 table in submission order, persisted entries popped from its head).  The
 schemes differ only in the dispatch policy that picks which queued
 persists issue their next node update, run on every kick, after every
-node update and, under strict persistency (SP), when the tuple arrives of
-a head that waits at the root:
+node update and, under strict persistency (SP), when the tuple of a head
+that waits at the root arrives:
 
 * ``sequential``  - SP: only the head issues, once it is ready, so one
   persist owns the whole tree update path at a time.
@@ -16,12 +16,6 @@ a head that waits at the root:
   at one per MAC latency.  Persists reach the root in the order they
   joined, so the started ones are always a prefix of ``ptt_order`` and
   the first unstarted entry is the next to join.
-
-Under SP a persist's root update issues only once its tuple has arrived:
-the ``sequential`` head, or the whole ``pipeline`` wave while its first
-member is at the root, waits for it.  So a root effect never covers a
-counter block that is not yet durable, and an SP persist completes at its
-root effect.
 * ``ooo``         - epoch persistency: persists of the same epoch climb
   independently, but a younger epoch's update issues only strictly deeper
   than every level an older live epoch holds (the level of an update in
@@ -39,6 +33,12 @@ root effect.
   one carries the update from there to the root.  The trailer's update at
   the merge level waits until the leader's plan below it has committed,
   which the leader's ``next_idx`` and ``inflight`` show.
+
+Under SP a persist's root update issues only once its tuple has arrived:
+the ``sequential`` head, or the whole ``pipeline`` wave while its first
+member is at the root, waits for it.  So a root effect never covers a
+counter block that is not yet durable, and an SP persist completes at its
+root effect.
 
 Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
@@ -65,15 +65,16 @@ cycles in the ``PersistRecord``, and the address, epoch and payload seed in
 the golden log; plus a 24-byte record per node update and 24 bytes per
 root update.  No scheduling decision reads the tuple's data, so a run
 computes none of it: a persist's plaintext, ciphertext, counter block and
-MAC are sealed, in pid order and once, into plain lists when a crash or a
-view first reads them (``PersistRecord.seal``).  The tree's node digests are computed as
-updates issue, because the root register is state of the run.  Only the
-tracking tables hold objects, one ``PttEntry`` per persist still climbing
-the tree, so no per-persist object outlives its persist, and ``trace``
-lets each event go as it is submitted.  ``wpq_entries``, ``root_history``
-and ``golden.log`` read the columns as read-only ``Rows`` of ``WpqEntry``
-views, tuples and ``StoreRecord``s; crash folding and recovery checks read
-the columns themselves.
+MAC are sealed, in pid order and once, into plain lists when a crash or
+a view first reads them (``PersistRecord.seal``).  The tree's node
+digests are computed as updates issue, because the root register is
+state of the run.  Only the tracking tables hold objects, one
+``PttEntry`` per persist still climbing the tree, so no per-persist
+object outlives its persist, and ``trace`` lets each event go as it is
+submitted.  ``wpq_entries``, ``root_history`` and ``golden.log`` read the
+columns as read-only ``Rows`` of ``WpqEntry`` views, tuples and
+``StoreRecord``s; crash folding and recovery checks read the columns
+themselves.
 """
 
 from __future__ import annotations
