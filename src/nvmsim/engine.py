@@ -2,20 +2,21 @@
 the four BMT update schedulers.
 
 Every persist waits in one queue, ``ptt_order`` (the persist tracking
-table in submission order, persisted entries popped from its head).  The
-schemes differ only in the dispatch policy that picks which queued
-persists issue their next node update, run on every kick, after every
+table in submission order, persisted entries popped from its head).  Two
+dispatch policies, one per persistency model, pick which queued persists
+issue their next node update.  A policy runs on every kick, after every
 node update and, under strict persistency (SP), when the tuple of a head
 that waits at the root arrives:
 
-* ``sequential``  - SP: only the head issues, once it is ready, so one
-  persist owns the whole tree update path at a time.
 * ``pipeline``    - SP, lockstep waves: when no update is in flight, the
   ready head of the unstarted persists joins and every started persist
   issues, so each sits on a distinct tree level and root updates retire
   at one per MAC latency.  Persists reach the root in the order they
   joined, so the started ones are always a prefix of ``ptt_order`` and
   the first unstarted entry is the next to join.
+* ``sequential``  - the SP wave policy with waves of one: the first
+  unstarted persist joins only an empty wave, so one persist owns the
+  whole tree update path at a time.
 * ``ooo``         - epoch persistency: persists of the same epoch climb
   independently, but a younger epoch's update issues only strictly deeper
   than every level an older live epoch holds (the level of an update in
@@ -35,10 +36,10 @@ that waits at the root arrives:
   which the leader's ``next_idx`` and ``inflight`` show.
 
 Under SP a persist's root update issues only once its tuple has arrived:
-the ``sequential`` head, or the whole ``pipeline`` wave while its first
-member is at the root, waits for it.  So a root effect never covers a
-counter block that is not yet durable, and an SP persist completes at its
-root effect.
+the wave, of one persist or many, waits for it while its first member is
+at the root.  So a root effect never covers a counter block that is not
+yet durable, and an SP persist completes, and may drain, at its root
+effect.
 
 Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
@@ -385,7 +386,7 @@ class Simulator:
 
         # scheduler state; the policy is a plain function, called as
         # self._dispatch(self, now), so no bound method refers back to self
-        self._dispatch = _POLICIES[params.scheme]
+        self._dispatch = Simulator._ooo_kick if self.is_ep else Simulator._sp_dispatch
         self.inflight_updates = 0
         self.node_commit_horizon: dict = {}  # label -> its last commit, while an update of it is in flight
         self._commit_cycle, self._committed_now = -1, set()  # nodes committed in this cycle
@@ -563,11 +564,6 @@ class Simulator:
         entry.next_idx = idx + 1
         entry.inflight = True
         self.inflight_updates += 1
-        self.level_last_issue[level] = now
-        if self._issue_cycle != now:
-            self._issue_cycle = now
-            self._issues_this_cycle = 0
-        self._issues_this_cycle += 1
 
         # the carried counter block is read only when `label` is the leaf
         value = self.bmt.compute_node(label, level, entry.leaf_block)
@@ -645,7 +641,10 @@ class Simulator:
         # marked once: a leader stops below its merge point, in one obligation list
         self.record.root_done[entry.pid] = now
         self._dealloc_ptt(now)
-        self._check_complete(entry.pid, now)
+        if self.is_ep:
+            self._check_complete(entry.pid, now)
+        else:
+            self._queue_drain(entry.pid, now)  # its root waited for its tuple, so it completed
 
     def _dealloc_ptt(self, now: int) -> None:
         freed = False
@@ -657,7 +656,7 @@ class Simulator:
             self._wake_submit(now)
 
     # ------------------------------------------------------------------
-    # dispatch policies over ptt_order, one per scheme (see _POLICIES)
+    # dispatch policies over ptt_order, one per persistency model
     # ------------------------------------------------------------------
 
     def _schedule_kick(self, cycle: int) -> None:
@@ -670,38 +669,27 @@ class Simulator:
         self._kick_cycles.discard(self.clock)
         self._dispatch(self, self.clock)
 
-    # sequential -------------------------------------------------------
+    # strict persistency: sequential and pipeline -----------------------
 
     def _waits_at_root(self, entry: PttEntry) -> bool:
         """Its next update is the root's and its tuple has not arrived: under
         SP a root effect lands no earlier than the tuple it covers."""
         return entry.next_idx == self.geometry.levels - 1 and self.record.arrival[entry.pid] == NEVER
 
-    def _sequential_dispatch(self, now: int) -> None:
-        if not self.ptt_order:
-            return
-        head = self.ptt_order[0]
-        if head.inflight or self._waits_at_root(head):
-            return
-        if head.next_idx == 0 and head.ready_cycle > now:
-            self._schedule_kick(head.ready_cycle)
-            return
-        self._issue_update(head, now)
-
-    # pipeline ---------------------------------------------------------
-
-    def _pipeline_dispatch(self, now: int) -> None:
+    def _sp_dispatch(self, now: int) -> None:
         if self.inflight_updates or (self.ptt_order and self._waits_at_root(self.ptt_order[0])):
             return
         # the started persists are a prefix of ptt_order; the first
-        # unstarted one joins the wave once it is ready
+        # unstarted one joins the wave once it is ready, and under
+        # sequential only an empty wave admits it
         wave = []
         for entry in self.ptt_order:
             if entry.next_idx == 0:
-                if entry.ready_cycle <= now:
-                    wave.append(entry)
-                else:
-                    self._schedule_kick(entry.ready_cycle)
+                if not wave or self.scheme == "pipeline":
+                    if entry.ready_cycle <= now:
+                        wave.append(entry)
+                    else:
+                        self._schedule_kick(entry.ready_cycle)
                 break
             wave.append(entry)
         for entry in wave:
@@ -728,6 +716,10 @@ class Simulator:
                 blocked = True
                 continue
             waiting.remove(entry)
+            last_issue[level] = now
+            if self._issue_cycle != now:
+                self._issue_cycle, self._issues_this_cycle = now, 0
+            self._issues_this_cycle += 1
             self._issue_update(entry, now)
         # Fact 2: no level's last issue is after now, so an eligible entry
         # that did not issue may issue from now + 1
@@ -757,8 +749,8 @@ class Simulator:
     def _ev_arrival(self, pid) -> None:
         now, record = self.clock, self.record
         record.arrival[pid] = now
-        self._check_complete(pid, now)
         if self.is_ep:
+            self._check_complete(pid, now)
             ett = self._unlocked(now)  # an entry of the unlocked epoch drains as it arrives
             if ett is not None and ett.epoch == record.epoch[pid]:
                 self._queue_drain(pid, now)
@@ -768,17 +760,16 @@ class Simulator:
                 self._dispatch(self, now)  # the head waited at the root for this tuple
 
     def _check_complete(self, pid: int, now: int) -> None:
+        """EP: once member ``pid``'s tuple has arrived and its root effect
+        landed, its epoch has one incomplete member fewer."""
         record = self.record
         if record.arrival[pid] == NEVER or record.root_done[pid] == NEVER:
             return
-        if self.is_ep:
-            # an epoch with an incomplete member is live; only the oldest can complete
-            ett = self.ett[bisect_left(self.ett, record.epoch[pid], key=_EPOCH)]
-            ett.incomplete -= 1
-            if ett is self.ett[0]:
-                self._epoch_maybe_complete(now)
-        else:
-            self._queue_drain(pid, now)  # under SP a completed tuple may drain
+        # an epoch with an incomplete member is live; only the oldest can complete
+        ett = self.ett[bisect_left(self.ett, record.epoch[pid], key=_EPOCH)]
+        ett.incomplete -= 1
+        if ett is self.ett[0]:
+            self._epoch_maybe_complete(now)
 
     def _unlocked(self, now: int) -> Optional[EttEntry]:
         """The live epoch whose WPQ entries may drain at ``now``, if any: the
@@ -944,11 +935,3 @@ class Simulator:
         }
         return out
 
-
-# dispatch policy of each scheme, chosen once per Simulator
-_POLICIES = {
-    "sequential": Simulator._sequential_dispatch,
-    "pipeline": Simulator._pipeline_dispatch,
-    "ooo": Simulator._ooo_kick,
-    "coalesce": Simulator._ooo_kick,
-}
