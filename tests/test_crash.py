@@ -374,5 +374,8 @@ def test_durable_cycle_matches_the_epoch_walk(scheme):
             if sim.is_ep:
                 assert entry.durable_cycle == max(entry.arrival_cycle, sim.unlock_cycle(entry.epoch))
             else:
-                assert entry.durable_cycle == entry.complete_cycle
+                # an SP root update waits for its tuple, so the persist
+                # completes, and is queued to drain, at its root effect
+                assert entry.root_done_cycle >= entry.arrival_cycle
+                assert entry.durable_cycle == entry.root_done_cycle == entry.complete_cycle
             assert entry.drained_cycle >= entry.durable_cycle
