@@ -104,13 +104,6 @@ class SplitCounter:
         the whole page's counters fit a single cache block."""
         return self.major.to_bytes(8, "little") + self.packed.to_bytes(56, "little")
 
-    @classmethod
-    def from_block_bytes(cls, block) -> "SplitCounter":
-        """The counter block that ``to_block_bytes`` packed into ``block``."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"counter block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        return cls(int.from_bytes(block[:8], "little"), int.from_bytes(block[8:], "little"))
-
 
 class Rows(Sequence):
     """A read-only sequence of ``row(i)`` for ``i < size()``, each row built

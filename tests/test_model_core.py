@@ -202,8 +202,14 @@ class TestGoldenMemory:
             mem.apply_store(BlockAddr(64), 2, epoch=0)
         assert len(mem) == 1 and mem.state_at_epoch_end(0) == {}
 
-    def test_counter_block_bytes_round_trip(self):
-        block = SplitCounter.from_minors(3, [i % 128 for i in range(64)])
-        assert SplitCounter.from_block_bytes(block.to_block_bytes()) == block
-        with pytest.raises(ValueError):
-            SplitCounter.from_block_bytes(bytes(63))
+    def test_counter_block_bytes_layout(self):
+        # 8 bytes of major, then the 56 bytes of packed minors, both little-endian,
+        # minor i in bits 7i .. 7i+6 of the packed int
+        minors = [(37 * i + 5) % 128 for i in range(BLOCKS_PER_PAGE)]
+        counter = SplitCounter.from_minors(0x0102030405060708, minors)
+        block = counter.to_block_bytes()
+        assert len(block) == BLOCK_SIZE
+        assert block[:8] == bytes(range(8, 0, -1))
+        assert block[8:] == counter.packed.to_bytes(56, "little")
+        packed = int.from_bytes(block[8:], "little")
+        assert [(packed >> (7 * i)) & 0x7F for i in range(BLOCKS_PER_PAGE)] == minors
