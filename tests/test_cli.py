@@ -289,6 +289,26 @@ def test_streamed_event_log_digest_matches_json(scheme, stores):
     assert event_log_digest(sim) == want
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_event_log_keeps_every_stat_and_verdict(capsys, scheme):
+    # the event log is only recorded: turning it off changes no stat and no crash verdict
+    argv = ["--scheme", scheme, "--gen-stores", "200", "--gen-pages", "16", "--gen-run-length", "3",
+            "--epoch-size", "8"]
+    _, logged, _ = run_cli(capsys, "run", *argv)
+    _, unlogged, _ = run_cli(capsys, "run", "--no-event-log", *argv)
+    logged, unlogged = json.loads(logged), json.loads(unlogged)
+    assert unlogged["stats"] == logged["stats"]
+    assert "event_log_digest" in logged and "event_log_digest" not in unlogged
+    sweeps = []
+    for flags in ([], ["--no-event-log"]):
+        code, out, _ = run_cli(capsys, "crash-sweep", *flags, "--points", "50", *argv)
+        sweep = json.loads(out)
+        del sweep["config_hash"]  # the hash covers the event_log knob
+        sweeps.append((code, sweep))
+    assert sweeps[0] == sweeps[1]
+    assert sweeps[0][1]["points"] == 50
+
+
 def test_trace_page_beyond_capacity_is_usage_error(tmp_path, capsys):
     path = tmp_path / "far.trace"
     path.write_text("S 0x258000\n")  # page 600; 4 levels of arity 8 protect 512 pages
