@@ -390,10 +390,10 @@ class Simulator:
         self.inflight_updates = 0
         self.node_commit_horizon: dict = {}  # label -> its last commit, while an update of it is in flight
         self._commit_cycle, self._committed_now = -1, set()  # nodes committed in this cycle
-        self.level_last_issue: dict = {}
         self.waiting: list = []  # entries waiting to issue their next update, in pid order (ooo/coalesce)
-        self._issue_cycle = -1
-        self._issues_this_cycle = 0
+        # the ooo policy's issue counts: per level its last issue cycle, and the issues of the last cycle with one
+        self.level_last_issue: dict = {}
+        self._issue_cycle, self._issues_this_cycle = -1, 0
 
         self.drain_eligible: list = []  # heap of pids (drain in persist order)
         self.next_drain_free = 0
@@ -934,4 +934,3 @@ class Simulator:
             "bmt": self.bmt_cache.stats.as_dict(),
         }
         return out
-
