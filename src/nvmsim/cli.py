@@ -156,7 +156,7 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
     results = {"config_hash": config.config_hash(), "points": 0, "violations": []}
 
     if omission_matrix:
-        if not len(sim.record):
+        if not len(sim.golden):
             raise UsageError("the omission matrix needs a trace with at least one store")
         expected = {
             "root": {"bmt-failure"},
@@ -164,23 +164,22 @@ def cmd_crash_sweep(config: RunConfig, n_points: int, seed: int, omission_matrix
             "counter": {"wrong-plaintext", "mac-failure", "bmt-failure"},
             "ciphertext": {"wrong-plaintext", "mac-failure"},
         }
-        target = len(sim.record) - 1
-        # the cut is the target's completion, or its unlock if that is later
-        # (EP), so that its tuple is durable; when the cut falls inside its
-        # epoch, the epoch's other root effects fail the tree check on their own
-        cut = max(sim.record.completion(target), sim.record.durable[target])
-        exact = not sim.is_ep or sim.epoch_completion.get(sim.record.epoch[target]) == cut
+        target = len(sim.golden) - 1
+        snapshots = {comp: crash(sim, CrashPlan("tuple-omission", persist_id=target, component=comp))
+                     for comp in expected}
+        # a cut inside an epoch fails the tree check on the epoch's other root effects
+        exact = not snapshots["mac"].incomplete_epochs
         # the target's root write can repeat a register value another persist
         # of its epoch already wrote; dropping it then leaves nothing to detect
-        register = crash(sim, CrashPlan("at-cycle", cycle=cut)).root_register
+        register = snapshots["mac"].root_register
         matrix = {}
         for comp, want in expected.items():
-            snapshot = crash(sim, CrashPlan("tuple-omission", cycle=cut, persist_id=target, component=comp))
+            snapshot = snapshots[comp]
             row = {}
             if comp == "root":
                 row["root_register_changed"] = snapshot.root_register != register
                 want = want if row["root_register_changed"] else set()
-            got = recover(snapshot, sim.keys, sim.geometry).verdict_set(sim.record.addr[target])
+            got = recover(snapshot, sim.keys, sim.geometry).verdict_set(sim.golden.addr[target])
             match = got == want if exact else want <= got
             matrix[comp] = row | {
                 "expected": sorted(want),

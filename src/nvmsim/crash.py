@@ -6,8 +6,8 @@ write-pending-queue entries the engine had let drain by then (by their
 ``durable_cycle``), plus the root register.  The run computed none of the
 tuples' data: the first cut that reads a persist's blocks seals them, and
 every persist before it, once per run (``PersistRecord.seal``).  The point
-is a cycle, an epoch's completion or a persist's completion with one tuple
-item dropped (modes ``at-cycle``, ``epoch-boundary``, ``tuple-omission``).
+is a cycle, an epoch's completion or a persist's durable completion with one
+tuple item dropped (modes ``at-cycle``, ``epoch-boundary``, ``tuple-omission``).
 ``recover`` then replays what a real controller could do after power loss
 - rebuild the integrity tree from durable counters, check every MAC,
 decrypt - and reports each block's failures (``wrong-plaintext``,
@@ -53,8 +53,8 @@ def open_durable(ciphertext: bytes, addr: int, counter: tuple, enc: bytes, mac: 
 class CrashPlan:
     """One injection: a crash point, or a crash plus one dropped tuple item.
 
-    A tuple-omission plan cuts at its persist's completion, or at ``cycle``
-    if given, which must not be before that completion."""
+    A tuple-omission plan takes no ``cycle``: it cuts at the later of its
+    persist's completion and durable cycle, once its tuple is durable."""
 
     mode: str
     cycle: Optional[int] = None
@@ -69,6 +69,8 @@ class CrashPlan:
             raise ValueError("at-cycle plan needs a cycle")
         if self.mode == "tuple-omission" and self.persist_id is None:
             raise ValueError("tuple-omission plan needs a persist id")
+        if self.mode == "tuple-omission" and self.cycle is not None:
+            raise ValueError("a tuple-omission plan cuts where its tuple is durable and takes no cycle")
         if self.mode == "epoch-boundary" and self.epoch is None:
             raise ValueError("epoch-boundary plan needs an epoch")
         if self.mode == "tuple-omission" and self.component not in TUPLE_COMPONENTS:
@@ -150,14 +152,10 @@ def _resolve_cut(sim, plan: CrashPlan) -> int:
     if plan.mode == "tuple-omission":
         if plan.persist_id is None or not 0 <= plan.persist_id < len(sim.record):
             raise ValueError(f"no such persist: {plan.persist_id}")
-        cycle = sim.record.completion(plan.persist_id)
+        cycle = max(sim.record.completion(plan.persist_id), sim.record.durable[plan.persist_id])
         if cycle == NEVER:
-            raise ValueError(f"persist {plan.persist_id} never completed")
-        if plan.cycle is None:
-            return cycle
-        if plan.cycle < cycle:
-            raise ValueError(f"cut {plan.cycle} is before persist {plan.persist_id} completed at {cycle}")
-        return plan.cycle
+            raise ValueError(f"persist {plan.persist_id} never completed with its tuple durable")
+        return cycle
     if plan.epoch not in sim.epoch_completion:
         raise ValueError(f"epoch {plan.epoch} never completed")
     return sim.epoch_completion[plan.epoch]

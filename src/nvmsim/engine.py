@@ -51,12 +51,14 @@ Under epoch persistency the epoch tracking table (ETT), ``ett``, holds an
 are consecutive persists, so its members are ``range(first_pid, end_pid)``.
 Only ``ett[0]`` can unlock, drain or complete: it is unlocked once
 ``last_epoch_done``, the completion cycle of its predecessor, is before now,
-and it completes, no earlier than that, when its membership is closed and
-every member's tuple completed.  Epochs thus complete in order at strictly
-increasing cycles; a completed epoch leaves the table and only its cycle
-stays, in ``epoch_completion``.  Once the next epoch starts, an epoch counts
-the deepest level its members hold and how many hold it, and counts again
-when the last of them moves up; that sets ``older`` of the epochs after it.
+and it completes, no earlier than that, when a fence or the end of the trace
+has closed its membership and the record shows every member's tuple
+completed, which its cursor ``done_pid`` reads in pid order.  Epochs thus
+complete in order at strictly increasing cycles; a completed epoch leaves the
+table and only its cycle stays, in ``epoch_completion``.  Once the next
+epoch starts, an epoch counts the deepest level its members hold and how
+many hold it, and counts again when the last of them moves up; that sets
+``older`` of the epochs after it.
 A WPQ entry survives power loss from its ``durable_cycle``, when it may
 drain: under SP once its tuple completed, under EP at the later of its
 arrival and its epoch's unlock.
@@ -112,7 +114,6 @@ EPOCH_SCHEMES = ("ooo", "coalesce")
 
 COMPONENTS = ("ciphertext", "counter", "mac")
 
-_EPOCH = attrgetter("epoch")  # bisect key over Simulator.ett
 _PID = attrgetter("pid")
 _ZERO_COUNTER = SplitCounter()  # an untouched page's counter block
 
@@ -334,13 +335,12 @@ class EttEntry:
     """One live epoch with members: its persists ``range(first_pid, end_pid)``.
     It leaves ``Simulator.ett`` when it completes."""
 
-    __slots__ = ("epoch", "first_pid", "end_pid", "incomplete", "deepest", "at_deepest", "older", "__weakref__")
+    __slots__ = ("epoch", "first_pid", "end_pid", "done_pid", "deepest", "at_deepest", "older", "__weakref__")
 
     def __init__(self, epoch, first_pid):
         self.epoch = epoch
         self.first_pid = first_pid
-        self.end_pid = first_pid
-        self.incomplete = 0  # members whose tuple has not completed yet
+        self.end_pid = self.done_pid = first_pid  # every member before done_pid has completed
         # deepest level its members hold (0: none), how many hold it, and older live epochs' deepest
         self.deepest = self.at_deepest = self.older = 0
 
@@ -369,7 +369,6 @@ class Simulator:
 
         self.trace = list(trace_events)  # events not submitted yet, the next last
         self.trace.reverse()
-        self.trace_done = False
         self.current_epoch = 0  # global epoch counter
         self.page_ready: dict = {}
 
@@ -424,9 +423,7 @@ class Simulator:
             trace.pop()
             self.epoch_boundary(now)
         if not trace:
-            # final epoch's membership is closed; it may already be complete
-            self.trace_done = True
-            self._epoch_maybe_complete(now)
+            self.epoch_boundary(now)  # the end of the trace closes the last epoch
             return
         store = trace[-1]
         epoch = self.current_epoch
@@ -498,7 +495,6 @@ class Simulator:
                     self._count_deepest(self.ett[-2])
             ett = entry.ett = self.ett[-1]
             ett.end_pid = pid + 1
-            ett.incomplete += 1
             self.waiting.append(entry)
 
         if self.scheme == "coalesce" and len(self.ptt_order) > 1:
@@ -642,7 +638,8 @@ class Simulator:
         self.record.root_done[entry.pid] = now
         self._dealloc_ptt(now)
         if self.is_ep:
-            self._check_complete(entry.pid, now)
+            if entry.pid < self.ett[0].end_pid and self.record.arrival[entry.pid] != NEVER:
+                self._epoch_maybe_complete(now)
         else:
             self._queue_drain(entry.pid, now)  # its root waited for its tuple, so it completed
 
@@ -750,7 +747,8 @@ class Simulator:
         now, record = self.clock, self.record
         record.arrival[pid] = now
         if self.is_ep:
-            self._check_complete(pid, now)
+            if pid < self.ett[0].end_pid and record.root_done[pid] != NEVER:  # a member of ett[0] completed
+                self._epoch_maybe_complete(now)
             ett = self._unlocked(now)  # an entry of the unlocked epoch drains as it arrives
             if ett is not None and ett.epoch == record.epoch[pid]:
                 self._queue_drain(pid, now)
@@ -758,18 +756,6 @@ class Simulator:
             head = self.ptt_order[0]
             if head.pid == pid and head.next_idx == self.geometry.levels - 1 and not head.inflight:
                 self._dispatch(self, now)  # the head waited at the root for this tuple
-
-    def _check_complete(self, pid: int, now: int) -> None:
-        """EP: once member ``pid``'s tuple has arrived and its root effect
-        landed, its epoch has one incomplete member fewer."""
-        record = self.record
-        if record.arrival[pid] == NEVER or record.root_done[pid] == NEVER:
-            return
-        # an epoch with an incomplete member is live; only the oldest can complete
-        ett = self.ett[bisect_left(self.ett, record.epoch[pid], key=_EPOCH)]
-        ett.incomplete -= 1
-        if ett is self.ett[0]:
-            self._epoch_maybe_complete(now)
 
     def _unlocked(self, now: int) -> Optional[EttEntry]:
         """The live epoch whose WPQ entries may drain at ``now``, if any: the
@@ -783,7 +769,14 @@ class Simulator:
         tuples all arrived early waits for every older boundary, and for its
         own unlock, when the unlock sweep completes it."""
         ett = self._unlocked(now)
-        if ett is None or ett.incomplete or not (ett.epoch < self.current_epoch or self.trace_done):
+        if ett is None or ett.epoch >= self.current_epoch:
+            return
+        arrival, root_done = self.record.arrival, self.record.root_done
+        pid, end = ett.done_pid, ett.end_pid
+        while pid < end and arrival[pid] != NEVER and root_done[pid] != NEVER:
+            pid += 1
+        ett.done_pid = pid
+        if pid < end:
             return
         del self.ett[0]
         self.epoch_completion[ett.epoch] = self.last_epoch_done = now
@@ -904,7 +897,7 @@ class Simulator:
         return "\n".join(
             [f"ptt pid {e.pid} epoch {e.epoch} next_idx {e.next_idx} inflight {e.inflight} ready_cycle "
              f"{e.ready_cycle} obligation levels {[lv for lv, _ in e.obligations]}" for e in self.ptt_order]
-            + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} incomplete {t.incomplete} deepest "
+            + [f"ett epoch {t.epoch} pids {t.first_pid}..{t.end_pid - 1} done_pid {t.done_pid} deepest "
                f"{t.deepest} held by {t.at_deepest} older {t.older}" for t in self.ett]
             + [f"waiting pids {[e.pid for e in self.waiting]}", f"wpq {len(self.record) - self.stats['drains']} of "
                f"{self.params.wpq_capacity} occupied, {len(self.drain_eligible)} in the drain heap"])

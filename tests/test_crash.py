@@ -37,14 +37,13 @@ def test_omission_needs_a_completed_persist():
         crash(sim, CrashPlan("tuple-omission", persist_id=2, component="mac"))
 
 
-def test_omission_cut_is_no_earlier_than_the_completion():
+def test_omission_plan_takes_no_cycle():
     sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1)))
-    done = sim.completion_cycle(0)
-    assert crash(sim, CrashPlan("tuple-omission", persist_id=0, component="mac")).crash_cycle == done
-    late = CrashPlan("tuple-omission", cycle=done + 5, persist_id=0, component="mac")
-    assert crash(sim, late).crash_cycle == done + 5
-    with pytest.raises(ValueError, match="before persist 0 completed"):
-        crash(sim, CrashPlan("tuple-omission", cycle=done - 1, persist_id=0, component="mac"))
+    # under strict persistency a tuple is durable from its persist's completion
+    plan = CrashPlan("tuple-omission", persist_id=0, component="mac")
+    assert crash(sim, plan).crash_cycle == sim.completion_cycle(0)
+    with pytest.raises(ValueError, match="takes no cycle"):
+        CrashPlan("tuple-omission", cycle=5, persist_id=0, component="mac")
 
 
 def test_crash_plan_validation():

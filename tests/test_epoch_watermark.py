@@ -45,9 +45,8 @@ def check_epoch_table(sim):
     # the ETT holds exactly the epochs with members that have not completed
     assert [e.epoch for e in sim.ett] == [e for e in grouped if e not in sim.epoch_completion]
     for ett in sim.ett:
-        assert ett.incomplete == sum(
-            sim.wpq_entries[pid].complete_cycle is None for pid in grouped[ett.epoch]
-        )
+        assert ett.first_pid <= ett.done_pid <= ett.end_pid
+        assert all(sim.wpq_entries[pid].complete_cycle is not None for pid in range(ett.first_pid, ett.done_pid))
 
 
 def ep_trace(rng, fence_every):

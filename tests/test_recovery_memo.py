@@ -204,7 +204,10 @@ def test_a_warm_rebuild_hashes_nothing(monkeypatch):
 def reference_snapshot(sim, plan) -> DurableSnapshot:
     """``crash`` as a fold over the views, entry by entry in pid order."""
     entries, log = list(sim.wpq_entries), list(sim.golden.log)
-    cut = plan.cycle if plan.mode == "at-cycle" else entries[plan.persist_id].complete_cycle
+    if plan.mode == "at-cycle":
+        cut = plan.cycle
+    else:  # an omission cuts once the persist has completed and its tuple is durable
+        cut = max(entries[plan.persist_id].complete_cycle, entries[plan.persist_id].durable_cycle)
     omitted = (plan.persist_id, plan.component) if plan.mode == "tuple-omission" else (None, None)
     data, counters, macs, expected_plain = {}, {}, {}, {}
     cut_epochs = set()
