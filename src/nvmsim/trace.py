@@ -130,30 +130,21 @@ class GenSpec:
 def generate(spec: GenSpec) -> List[TraceEvent]:
     """Deterministic synthetic trace; same spec (and seed) -> same trace."""
     rng = random.Random(spec.seed)
-    events: List[TraceEvent] = []
-    emitted = 0
-    seed = 0
-    while emitted < spec.store_count:
+    stores: List[Store] = []
+    while len(stores) < spec.store_count:
         page = rng.randrange(spec.pages)
         start_block = rng.randrange(64)
-        for i in range(spec.run_length):
-            if emitted >= spec.store_count:
-                break
+        for i in range(min(spec.run_length, spec.store_count - len(stores))):
             block = (start_block + i) % 64
-            addr = BlockAddr(page * PAGE_SIZE + block * BLOCK_SIZE)
-            events.append(Store(addr, seed))
-            seed += 1
-            emitted += 1
-            if spec.fence_interval and emitted % spec.fence_interval == 0 and emitted < spec.store_count:
-                events.append(Fence())
-    return events
+            stores.append(Store(BlockAddr(page * PAGE_SIZE + block * BLOCK_SIZE), len(stores)))
+    return refence(stores, spec.fence_interval)
 
 
 def refence(events: Iterable[TraceEvent], fence_interval: int) -> List[TraceEvent]:
     """Strip fences and re-insert one every ``fence_interval`` stores.
 
-    Used by epoch-size sweeps so the same store sequence can be replayed
-    under different epoch shapes.
+    ``generate`` fences its stores with it, and epoch-size sweeps use it to
+    replay the same store sequence under different epoch shapes.
     """
     stores = [ev for ev in events if isinstance(ev, Store)]
     if fence_interval <= 0:
