@@ -78,8 +78,10 @@ def outcome(report, golden) -> tuple:
     return report.as_dict(), report.verdicts, report.plaintexts, (result.ok, result.matched, result.violation)
 
 
-# every 18th schedule-lock case of each scheme: capacities of 1, one of the
-# drain path and, under the epoch schemes, two with a binding ETT
+# every 18th schedule-lock case of each scheme: under the epoch schemes,
+# capacities of 1, one of the drain path and two with a binding ETT; under
+# SP, whose shorter grid does not cross the MAC units, ideal caches with
+# roomy tables and a zero-latency run on real caches
 DIFF_CASES = [case for scheme in SCHEMES for case in itertools.islice(cases(scheme), 5, None, 18)]
 
 
