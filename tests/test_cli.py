@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from nvmsim.cli import (
+    EXIT_DEADLOCK,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -16,7 +17,7 @@ from nvmsim.cli import (
     main,
     make_parser,
 )
-from nvmsim.engine import SCHEMES, SimParams
+from nvmsim.engine import SCHEMES, SimParams, Simulator
 from nvmsim.timing import LatencyConfig
 from nvmsim.trace import GenSpec
 
@@ -117,6 +118,13 @@ def test_crash_sweep_omission_matrix(capsys):
     assert all(row["match"] for row in result["omission_matrix"].values())
     assert {row["comparison"] for row in result["omission_matrix"].values()} == {"exact"}
     assert result["omission_matrix"]["root"]["root_register_changed"] is True
+
+
+def test_deadlock_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(Simulator, "_ev_arrival", lambda self, pid: None)  # no tuple ever arrives
+    code, out, err = run_cli(capsys, "run", "--scheme", "ooo", "--epoch-size", "4", *BASE)
+    assert code == EXIT_DEADLOCK and out == ""
+    assert err.startswith("deadlock: simulation idle at cycle") and "ett epoch 0 pids 0.." in err
 
 
 def test_crash_sweep_zero_points_usage_error(capsys):

@@ -17,11 +17,20 @@ from nvmsim import (
     run_until_idle,
 )
 from nvmsim.bmt import rebuild_from_counters
-from nvmsim.crash import DurableSnapshot, Violation
+from nvmsim.crash import TUPLE_COMPONENTS, DurableSnapshot, Violation
+from nvmsim.engine import EPOCH_SCHEMES
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import replay_plaintext_prefix
 from test_schedule_lock import case_simulator, cases
+
+# each tuple-omission row's failures at the omitted block
+OMISSION_EXPECTED = {
+    "root": {"bmt-failure"},
+    "mac": {"mac-failure"},
+    "counter": {"wrong-plaintext", "mac-failure", "bmt-failure"},
+    "ciphertext": {"wrong-plaintext", "mac-failure"},
+}
 
 
 def test_omission_needs_a_completed_persist():
@@ -44,6 +53,36 @@ def test_omission_plan_takes_no_cycle():
     assert crash(sim, plan).crash_cycle == sim.completion_cycle(0)
     with pytest.raises(ValueError, match="takes no cycle"):
         CrashPlan("tuple-omission", cycle=5, persist_id=0, component="mac")
+
+
+def test_ep_omission_cuts_once_the_tuple_is_durable():
+    # persist 1 completes at cycle 1, but its epoch unlocks only at cycle 2,
+    # so a cut at its completion holds no component of its tuple
+    sim = case_simulator(dict(scheme="ooo", arity=2, capacity=64, cache_kb=0, mac_units=0, fence=1, latency="enq0"))
+    run_until_idle(sim)
+    entry = sim.wpq_entries[1]
+    addr = entry.addr.value
+    assert (entry.complete_cycle, entry.durable_cycle) == (1, 2)
+    at_completion = recover(crash(sim, CrashPlan("at-cycle", cycle=1)), sim.keys, sim.geometry)
+    with pytest.raises(ValueError, match=f"block {addr:#x} has no durable component at the cut, cycle 1"):
+        at_completion.verdict_set(addr)
+    for comp, want in OMISSION_EXPECTED.items():
+        snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=1, component=comp))
+        assert snapshot.crash_cycle == 2, comp
+        assert want <= recover(snapshot, sim.keys, sim.geometry).verdict_set(addr), comp
+
+
+@pytest.mark.parametrize("scheme", EPOCH_SCHEMES)
+def test_every_ep_omission_plan_has_a_verdict(scheme):
+    # every persist of every epoch-scheme schedule-lock case, every component
+    for case in cases(scheme):
+        sim = case_simulator(case)
+        run_until_idle(sim)
+        for entry in sim.wpq_entries:
+            for comp in TUPLE_COMPONENTS:
+                snapshot = crash(sim, CrashPlan("tuple-omission", persist_id=entry.pid, component=comp))
+                assert snapshot.crash_cycle == max(entry.complete_cycle, entry.durable_cycle)
+                recover(snapshot, sim.keys, sim.geometry).verdict_set(entry.addr.value)
 
 
 def test_crash_plan_validation():
@@ -90,13 +129,7 @@ def test_omission_matrix_rows():
     sim = run_sim("sequential", trace_text(page_addr(0), page_addr(1), page_addr(2)))
     target = 2
     addr = sim.golden.log[target].addr.value
-    expected = {
-        "root": {"bmt-failure"},
-        "mac": {"mac-failure"},
-        "counter": {"wrong-plaintext", "mac-failure", "bmt-failure"},
-        "ciphertext": {"wrong-plaintext", "mac-failure"},
-    }
-    for comp, want in expected.items():
+    for comp, want in OMISSION_EXPECTED.items():
         plan = CrashPlan("tuple-omission", persist_id=target, component=comp)
         report = recover(crash(sim, plan), sim.keys, sim.geometry)
         assert report.verdict_set(addr) == want, comp

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from nvmsim import LatencyConfig, SCHEMES, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
+from nvmsim.timing import DeadlockError
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 
@@ -110,3 +113,20 @@ def test_update_log_view_follows_a_run_in_flight(rng):
         seen.append(len(sim.update_log))
     assert 0 < seen[len(seen) // 2] < seen[-1]
     assert sim.update_log == whole.update_log
+
+
+def test_deadlock_report_dumps_the_tracking_tables():
+    # with no tuple ever arriving, no epoch completes: two fill the ETT and
+    # the third epoch's stores are never submitted
+    text = random_trace_text(random.Random(1), 12, 4, fence_every=4)
+    sim = Simulator(SimParams(scheme="ooo", levels=4, ideal_caches=True), parse(text))
+    sim._ev_arrival = lambda pid: None
+    with pytest.raises(DeadlockError) as raised:
+        run_until_idle(sim)
+    lines = str(raised.value).splitlines()
+    assert "with 8 persists outstanding ([0, 1, 2, 3, 4, 5, 6, 7]) and 4 trace events unsubmitted" in lines[0]
+    assert [line for line in lines if line.startswith("ett epoch")] == [
+        "ett epoch 0 pids 0..3 done_pid 0 deepest 0 held by 0 older 0",
+        "ett epoch 1 pids 4..7 done_pid 4 deepest 0 held by 0 older 0",
+    ]
+    assert lines[-2:] == ["waiting pids []", "wpq 8 of 128 occupied, 0 in the drain heap"]
