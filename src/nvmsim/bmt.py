@@ -163,6 +163,35 @@ class BmtState:
     def commit_node(self, label: int, value: int) -> None:
         self.values[label] = value
 
+    def replay(self, labels: list, levels: list, leaf_blocks: list, before: list) -> list:
+        """Replay node updates listed in commit order; returns their values.
+
+        Update ``u`` computes node ``labels[u]`` at ``levels[u]`` as
+        ``compute_node`` does, from ``leaf_blocks[u]`` for a leaf (None for
+        any other node) and otherwise from the children that the first
+        ``before[u]`` updates left, ``before[u] <= u``; then every update
+        commits, in order, as ``commit_node`` does.  So the reads are taken
+        in order of ``before``, each after the commits it follows.
+        """
+        values, get, arity = self.values, self.values.get, self.geometry.arity
+        copy, pack, defaults, from_bytes = self._hasher.copy, self._pack_tags, self._defaults, int.from_bytes
+        out = [0] * len(labels)
+        applied = 0
+        for u in sorted(range(len(labels)), key=before.__getitem__):
+            while applied < before[u]:
+                values[labels[applied]] = out[applied]
+                applied += 1
+            digest = copy()
+            block = leaf_blocks[u]
+            if block is None:
+                child = labels[u] * arity + 1
+                digest.update(pack(*map(get, range(child, child + arity), repeat(defaults[levels[u] + 1]))))
+            else:
+                digest.update(block)
+            out[u] = from_bytes(digest.digest(), "little")
+        values.update(zip(labels[applied:], out[applied:]))
+        return out
+
     def apply_node_update(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
         level = self.geometry.level_of(label)
         value = self.compute_node(label, level, counter_block and counter_block.to_block_bytes())
@@ -189,7 +218,8 @@ def rebuild_from_counters(
     compares the resulting root against the root register.  Leaf and
     interior digests go through ``recovery_digest``, keyed by their payload
     bytes and keys, so successive crash points reuse the subtrees they share;
-    the engine's ``compute_node`` path is not memoized.
+    the run's own node values, replayed once from its update log
+    (``BmtState.replay``), are not memoized.
     """
     state = BmtState(geometry, keys)
     values, enc, mac = state.values, keys.enc, keys.mac

@@ -18,8 +18,9 @@ persistency the recovered state must equal some prefix of the persist-order
 log; under epoch persistency it must match the last completed epoch boundary
 outside the crashed epoch's footprint.  Durable state only grows as the cut
 moves later, so recovery memoizes block openings and tree digests by their
-full inputs in bounded LRU memos; every check still runs at every point, and
-the engine's tree path is not memoized.
+full inputs in bounded LRU memos; every check still runs at every point.
+The root register at a cut comes from the run's root values, which the
+first cut replays from the update log (``Simulator.root_values``).
 """
 
 from __future__ import annotations
@@ -201,12 +202,13 @@ def crash(sim, plan: CrashPlan) -> DurableSnapshot:
     # root updates commit in cycle order: those by the cut are a prefix
     roots = bisect_right(record.root_cycle, cut)
     root_pids = record.root_pid[:roots]
+    root_values = sim.root_values()  # replayed from the update log, once per run
     if skip == "root":
         kept = [i for i in range(roots) if root_pids[i] != omitted]
-        root_register = record.root_value[kept[-1]] if kept else sim.bmt.default_value(1)
+        root_register = root_values[kept[-1]] if kept else sim.bmt.default_value(1)
         root_pids = [root_pids[i] for i in kept]
     else:
-        root_register = record.root_value[roots - 1] if roots else sim.bmt.default_value(1)
+        root_register = root_values[roots - 1] if roots else sim.bmt.default_value(1)
 
     completed_epochs: set = set()
     incomplete_epochs: set = set()

@@ -4,8 +4,9 @@ keyed digest used for tree nodes.
 All three primitives are built on one keyed PRF (BLAKE2b) so recovery
 verification is real rather than mocked.  Timing is charged separately by
 the clock model; nothing here costs simulated cycles.  The simulator seals
-data blocks (``seal_block``) only when a crash or a view reads them; its tree
-updates hash through ``node_hasher``, the keyed state ``hash_node`` starts from.
+data blocks (``seal_block``) and hashes tree nodes only when a crash or a
+view reads them, never while it runs; its node digests replayed from the
+update log copy ``node_hasher``, the keyed state ``hash_node`` starts from.
 """
 
 from __future__ import annotations

@@ -44,7 +44,10 @@ effect.
 Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
 strict-persistency roots exactly equal to persist-order prefixes even
-while younger persists overwrite shared state underneath.
+while younger persists overwrite shared state underneath.  No scheduling
+decision reads a node value, so the engine computes none: each update's
+log record keeps where its reads fall in the commit order, and the value
+plane replays every value from the log when one is first read.
 
 Under epoch persistency the epoch tracking table (ETT), ``ett``, holds an
 ``EttEntry`` per live epoch with members, oldest first; an epoch's stores
@@ -65,13 +68,15 @@ arrival and its epoch's unlock.
 
 What a run keeps of each persist is one 64-byte row of columns: five
 cycles in the ``PersistRecord``, and the address, epoch and payload seed in
-the golden log; plus a 24-byte record per node update and 24 bytes per
-root update.  No scheduling decision reads the tuple's data, so a run
-computes none of it: a persist's plaintext, ciphertext, counter block and
-MAC are sealed, in pid order and once, into plain lists when a crash or
-a view first reads them (``PersistRecord.seal``).  The tree's node
-digests are computed as updates issue, because the root register is
-state of the run.  Only the tracking tables hold objects, one
+the golden log; plus a 24-byte record per node update, whatever
+``event_log`` says, and 16 bytes per root update.  No scheduling decision
+reads the tuple's data, so a run computes none of it: a persist's
+plaintext, ciphertext, counter block and MAC are sealed, in pid order and
+once, into plain lists when a crash or a view first reads them
+(``PersistRecord.seal``).  Nor does it compute a tree node's digest: the
+first read of ``bmt``, ``root_history`` or ``root_values()`` replays the
+whole tree from the update log (``_replay_values``), over the counter
+blocks of that same fill.  Only the tracking tables hold objects, one
 ``PttEntry`` per persist still climbing the tree, so no per-persist
 object outlives its persist, and ``trace`` lets each event go as it is
 submitted.  ``wpq_entries``, ``root_history`` and ``golden.log`` read the
@@ -88,8 +93,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import compress, islice, repeat
+from operator import add, attrgetter, itemgetter, not_, rshift
 from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
@@ -115,6 +120,13 @@ EPOCH_SCHEMES = ("ooo", "coalesce")
 COMPONENTS = ("ciphertext", "counter", "mac")
 
 _PID = attrgetter("pid")
+# an update log key holds pid * levels + level - 1 below bit 48 (KEY_MASK) and, above it, k: how
+# many commits of the update's start cycle came before its issue.  A persist's own previous update
+# may be one of them, and at a MAC latency of 0 a persist climbs several levels in one cycle, so the
+# PTT capacity does not bound k; the 15 bits that keep the key a positive int64 must
+_K_SHIFT = 48
+_K_LIMIT = 1 << 63 - _K_SHIFT
+KEY_MASK = (1 << _K_SHIFT) - 1
 _ZERO_COUNTER = SplitCounter()  # an untouched page's counter block
 
 
@@ -133,7 +145,7 @@ class SimParams:
     cache_kb: int = 128
     cache_assoc: int = 8
     ideal_caches: bool = False
-    event_log: bool = True
+    event_log: bool = True  # the report carries the update log's digest; the run keeps the log either way
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -166,7 +178,8 @@ class PersistRecord:
     its drain.  A persist completes at the later of its arrival and its
     root effect (``completion``).  ``addr`` and ``epoch`` are the golden
     log's own columns.  The root history is three more columns, one row per
-    root update in commit order.
+    root update in commit order; the run fills ``root_cycle`` and
+    ``root_pid``, and ``Simulator._replay_values`` fills ``root_value``.
 
     The tuple's data is sealed on its first read, by ``seal``: a run keeps
     none of it, and no scheduling decision reads it.  ``ciphertext`` and
@@ -185,7 +198,7 @@ class PersistRecord:
         self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
         self.plaintexts, self.keys = golden.plaintexts, keys
         self.ciphertext, self.counter_block, self.mac = [], [], array("Q")
-        self._counters: dict = {}  # page -> counter block after the last sealed pid
+        self._counters: dict = {}  # page -> counter block after the last filled pid
 
     def append(self, submit: int) -> None:
         """A new persist, after the golden log took its address and epoch."""
@@ -199,31 +212,37 @@ class PersistRecord:
         """The cycle persist ``pid`` completed its whole tuple, or ``NEVER``."""
         return max(self.arrival[pid], self.root_done[pid])
 
+    def fill_counters(self, n: int) -> None:
+        """Fill ``counter_block`` for the first ``n`` pids, in pid order, each
+        once: each page's counter block replays its bumps.  ``seal`` and the
+        tree's value replay both read this one fill."""
+        start, end = len(self.counter_block), min(n, len(self.submit))
+        addrs, counters, blocks = self.addr, self._counters, self.counter_block
+        for pid in range(start, end):
+            page, offset = divmod(addrs[pid], PAGE_SIZE)
+            counter = counters[page] = counters.get(page, _ZERO_COUNTER).bump(offset // BLOCK_SIZE)
+            blocks.append(counter)
+
     def seal(self, n: int) -> None:
         """Fill ``ciphertext``, ``counter_block`` and ``mac`` for the first
         ``n`` pids, in pid order, each once, as the persists' own stores
-        sealed them: each page's counter block replays its bumps, and the
-        plaintext is encrypted and tagged under the counter it reached."""
+        sealed them: the plaintext is encrypted and tagged under the counter
+        its page's block reached (``fill_counters``)."""
         start, end = len(self.mac), min(n, len(self.submit))
         if start >= end:
             return
-        addrs, counters, keys, plain = self.addr, self._counters, self.keys, self.plaintexts(end)
+        self.fill_counters(end)
+        addrs, keys, plain = self.addr, self.keys, self.plaintexts(end)
         blocks, ciphertexts, tags = self.counter_block, self.ciphertext, self.mac
         for pid in range(start, end):
             addr = addrs[pid]
-            page, offset = divmod(addr, PAGE_SIZE)
-            block = offset // BLOCK_SIZE
-            counter = counters[page] = counters.get(page, _ZERO_COUNTER).bump(block)
-            ciphertext, tag = seal_block(plain[pid], addr, counter.effective(block), keys)
-            blocks.append(counter)
+            counter = blocks[pid].effective(addr % PAGE_SIZE // BLOCK_SIZE)
+            ciphertext, tag = seal_block(plain[pid], addr, counter, keys)
             ciphertexts.append(ciphertext)
             tags.append(tag)
 
     def __len__(self) -> int:
         return len(self.submit)
-
-    def root_row(self, i: int) -> tuple:
-        return (self.root_cycle[i], self.root_pid[i], self.root_value[i])
 
 
 def _cycle(column: str) -> property:
@@ -301,7 +320,6 @@ class PttEntry:
         "pid",
         "epoch",
         "path",
-        "leaf_block",
         "ready_cycle",
         "next_idx",
         "inflight",
@@ -311,11 +329,10 @@ class PttEntry:
         "__weakref__",
     )
 
-    def __init__(self, pid, epoch, path, leaf_block, ready_cycle):
+    def __init__(self, pid, epoch, path, ready_cycle):
         self.pid = pid
         self.epoch = epoch
         self.path = path  # update path, leaf first: one node per level
-        self.leaf_block = leaf_block  # the counter block its leaf update hashes, as bytes
         self.ready_cycle = ready_cycle
         self.next_idx = 0  # next path index to issue; issued count == next_idx
         self.inflight = False
@@ -360,7 +377,7 @@ class Simulator:
         self.events = EventQueue()
         self.golden = GoldenMemory()
         self.counters: dict = {}
-        self.bmt = BmtState(self.geometry, self.keys)
+        self._bmt, self._replayed = None, -1  # the replayed tree, and the log length it covers
 
         kb = params.cache_kb * 1024
         self.counter_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
@@ -375,20 +392,22 @@ class Simulator:
         self.record = PersistRecord(self.golden, self.keys)
         # read-only views of the record: those not drained yet occupy the WPQ
         self.wpq_entries = Rows(self.record.__len__, partial(WpqEntry, self.record))
-        self.root_history = Rows(self.record.root_cycle.__len__, self.record.root_row)  # (cycle, pid, value)
         self.ptt_order: deque = deque()
         self.ett: list = []  # EttEntry per live epoch with members, oldest first
         self.epoch_completion: dict = {}  # epoch -> completion cycle
         self.last_epoch_done = -1  # completion cycle of the last completed epoch
 
-        self._updates = array("q")  # (start, end, pid * levels + level - 1) per node update
+        # (start, end, pid * levels + level - 1 | k << _K_SHIFT) per node update, in commit order,
+        # where k counts the commits of cycle `start` before the update issued
+        self._updates = array("q")
 
         # scheduler state; the policy is a plain function, called as
         # self._dispatch(self, now), so no bound method refers back to self
         self._dispatch = Simulator._ooo_kick if self.is_ep else Simulator._sp_dispatch
         self.inflight_updates = 0
         self.node_commit_horizon: dict = {}  # label -> its last commit, while an update of it is in flight
-        self._commit_cycle, self._committed_now = -1, set()  # nodes committed in this cycle
+        self._commit_cycle, self._commits_now = -1, 0  # the last cycle with a commit, and its commits so far
+        self._committed_now: set = set()  # nodes committed in that cycle with no later update in flight
         self.waiting: list = []  # entries waiting to issue their next update, in pid order (ooo/coalesce)
         # the ooo policy's issue counts: per level its last issue cycle, and the issues of the last cycle with one
         self.level_last_issue: dict = {}
@@ -468,7 +487,6 @@ class Simulator:
         if new_block.major != old_block.major:
             self.stats["counter_overflows"] += 1
         self.counters[page] = new_block
-        leaf_block = new_block.to_block_bytes()
         self.record.append(now)
 
         # counter block access decides when the new counter (and thus the
@@ -486,7 +504,7 @@ class Simulator:
         self.events.push(ready + self.latency.wpq_enqueue, ARRIVAL, self._ev_arrival, pid)
 
         path = self.geometry.update_path(self.geometry.leaf_for_page(page))
-        entry = PttEntry(pid, epoch, path, leaf_block, ready)
+        entry = PttEntry(pid, epoch, path, ready)
         self.ptt_order.append(entry)
         if self.is_ep:
             if not self.ett or self.ett[-1].epoch != epoch:
@@ -560,9 +578,10 @@ class Simulator:
         entry.next_idx = idx + 1
         entry.inflight = True
         self.inflight_updates += 1
-
-        # the carried counter block is read only when `label` is the leaf
-        value = self.bmt.compute_node(label, level, entry.leaf_block)
+        # the update reads the tree as the commits before it left it: those of
+        # earlier cycles and the first `k` of this one (see _replay_values)
+        k = self._commits_now if self._commit_cycle == now else 0
+        assert k < _K_LIMIT, f"{k} commits in cycle {now} before an issue overflow the update log key"
 
         hit = self.bmt_cache.access(label)
         if hit:
@@ -575,7 +594,7 @@ class Simulator:
         last = now if self._commit_cycle == now and label in self._committed_now else -1
         commit = max(now + duration, self.node_commit_horizon.get(label, last) + 1)
         self.node_commit_horizon[label] = commit
-        payload = (entry, label, level, value, now, commit)
+        payload = (entry, label, level, k, now, commit)
         if hit:
             self.events.push(commit, MAC_DONE, self._ev_mac_done, payload)
         else:
@@ -585,21 +604,21 @@ class Simulator:
         self.events.push(payload[5], MAC_DONE, self._ev_mac_done, payload)
 
     def _ev_mac_done(self, payload) -> None:
-        entry, label, level, value, start, _commit = payload
+        entry, label, level, k, start, _commit = payload
         now = self.clock
-        self.bmt.commit_node(label, value)
+        if self._commit_cycle != now:
+            self._commit_cycle, self._commits_now = now, 0
+            self._committed_now.clear()
+        self._commits_now += 1
         # with no later update of this node in flight, it can delay only a
         # commit that an update issued in this cycle makes in this cycle,
         # which takes a MAC latency of 0: _committed_now keeps those nodes
         if self.node_commit_horizon[label] == now:
             del self.node_commit_horizon[label]
             if not self.latency.mac_latency:
-                if self._commit_cycle != now:
-                    self._commit_cycle, self._committed_now = now, set()
                 self._committed_now.add(label)
         self.stats["node_updates"] += 1
-        if self.params.event_log:
-            self._updates.extend((start, now, entry.pid * self.geometry.levels + level - 1))
+        self._updates.extend((start, now, entry.pid * self.geometry.levels + level - 1 | k << _K_SHIFT))
 
         entry.inflight = False
         self.inflight_updates -= 1
@@ -614,11 +633,8 @@ class Simulator:
                     self._count_deepest(ett)
 
         if label == 0:
-            self.bmt.root_register = value
-            record = self.record
-            record.root_cycle.append(now)
-            record.root_pid.append(entry.pid)
-            record.root_value.append(value)
+            self.record.root_cycle.append(now)
+            self.record.root_pid.append(entry.pid)
             self._mark_persisted(entry, now)
 
         # a trailing persist passing a merge point releases its leader
@@ -849,6 +865,66 @@ class Simulator:
         self._schedule_drain(now)
 
     # ------------------------------------------------------------------
+    # the value plane: node values replayed from the update log
+    # ------------------------------------------------------------------
+
+    @property
+    def bmt(self) -> BmtState:
+        """The tree as the run's committed updates left it: node ``values``
+        and the ``root_register``, replayed from the update log on first read."""
+        self._replay_values()
+        return self._bmt
+
+    def root_values(self) -> array:
+        """The record's ``root_value`` column, one value per root update in
+        commit order, replayed from the update log on first read."""
+        self._replay_values()
+        return self.record.root_value
+
+    @property
+    def root_history(self) -> Rows:
+        """Each root update as a read-only ``(cycle, pid, value)`` row, in
+        commit order; a run keeps no reference to the view it returns."""
+        return Rows(self.record.root_cycle.__len__, self._root_row)
+
+    def _root_row(self, i: int) -> tuple:
+        record = self.record
+        return (record.root_cycle[i], record.root_pid[i], self.root_values()[i])
+
+    def _replay_values(self) -> None:
+        """Compute every committed update's value, as hashing at issue and
+        committing at completion would, in one pass over the log.
+
+        An update reads the tree as the commits before its issue left it:
+        those that ended before its start cycle, ``bisect_left(ends, start)``,
+        and the first ``k`` of its start cycle, which its key carries.  So
+        the pass takes the reads in order of that count, applying each
+        commit, in log order, before the first read that follows it.  A run
+        that went on since the last replay is replayed from its first commit.
+        """
+        log = self._updates
+        if self._replayed == len(log):
+            return
+        record, levels = self.record, self.geometry.levels
+        starts, ends, keys = log[0::3], log[1::3].tolist(), log[2::3]
+        before = list(map(add, map(partial(bisect_left, ends), starts), map(rshift, keys, repeat(_K_SHIFT))))
+        record.fill_counters(len(record))
+        blocks = record.counter_block
+        labels, level_of, leaf_blocks = [], [], []
+        for _start, _end, pid, _epoch, label, level in self.iter_update_log():
+            labels.append(label)
+            level_of.append(level)
+            leaf_blocks.append(blocks[pid].to_block_bytes() if level == levels else None)
+        state = BmtState(self.geometry, self.keys)
+        out = state.replay(labels, level_of, leaf_blocks, before)
+        roots = record.root_value
+        del roots[:]
+        roots.extend(compress(out, map(not_, labels)))
+        if roots:
+            state.root_register = roots[-1]
+        self._bmt, self._replayed = state, len(log)
+
+    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
@@ -856,19 +932,19 @@ class Simulator:
         """Each node update as ``(start, end, pid, epoch, label, level)``,
         in completion order.
 
-        The run keeps one 24-byte record ``(start, end, pid * levels +
-        level - 1)`` per update; the epoch comes from the persist record and
-        the label is the node at ``level`` on the persist's own update path,
-        which is the node it updated, under coalescing too (a trailing
-        persist carries the shared path above the merge point, which is its
-        own path).
+        The run keeps one 24-byte record ``(start, end, key)`` per update,
+        whose key's low bits (``KEY_MASK``) are ``pid * levels + level - 1``;
+        the epoch comes from the persist record and the label is the node at
+        ``level`` on the persist's own update path, which is the node it
+        updated, under coalescing too (a trailing persist carries the shared
+        path above the merge point, which is its own path).
         """
         addrs, epochs = self.record.addr, self.record.epoch
         node_at = self.geometry.path_node
         levels = self.geometry.levels
         fields = iter(self._updates)
         for start, end, key in zip(fields, fields, fields):
-            pid, level = divmod(key, levels)
+            pid, level = divmod(key & KEY_MASK, levels)
             yield (start, end, pid, epochs[pid], node_at(addrs[pid] // PAGE_SIZE, level + 1), level + 1)
 
     @property

@@ -16,6 +16,7 @@ from nvmsim.cli import (
     event_log_digest,
     main,
     make_parser,
+    run_simulation,
 )
 from nvmsim.engine import SCHEMES, SimParams, Simulator
 from nvmsim.timing import LatencyConfig
@@ -299,9 +300,14 @@ def test_streamed_event_log_digest_matches_json(scheme, stores):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_no_event_log_keeps_every_stat_and_verdict(capsys, scheme):
-    # the event log is only recorded: turning it off changes no stat and no crash verdict
+    # event_log decides only whether the report carries the update log's
+    # digest: turning it off changes no stat, root value or crash verdict
     argv = ["--scheme", scheme, "--gen-stores", "200", "--gen-pages", "16", "--gen-run-length", "3",
             "--epoch-size", "8"]
+    sims = [run_simulation(RunConfig(scheme=scheme, gen_stores=200, gen_pages=16, gen_run_length=3, epoch_size=8,
+                                     event_log=event_log)) for event_log in (True, False)]
+    assert list(sims[1].root_history) == list(sims[0].root_history)
+    assert sims[1].bmt.root_register == sims[0].bmt.root_register
     _, logged, _ = run_cli(capsys, "run", *argv)
     _, unlogged, _ = run_cli(capsys, "run", "--no-event-log", *argv)
     logged, unlogged = json.loads(logged), json.loads(unlogged)

@@ -2,7 +2,7 @@ import random
 
 from nvmsim import LatencyConfig, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
 from nvmsim.bmt import BmtGeometry
-from nvmsim.engine import PttEntry
+from nvmsim.engine import KEY_MASK, PttEntry
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import dedup_update_count
@@ -156,9 +156,9 @@ def test_below_done_matches_the_update_log_at_every_event():
         read = 0
         while sim.events:
             step(sim)
-            records = sim._updates  # (start, end, pid * levels + level - 1) per commit
+            records = sim._updates  # (start, end, key) per commit, key & KEY_MASK = pid * levels + level - 1
             for i in range(read, len(records), 3):
-                pid, level = divmod(records[i + 2], sim.geometry.levels)
+                pid, level = divmod(records[i + 2] & KEY_MASK, sim.geometry.levels)
                 committed.setdefault(pid, []).append(level + 1)
             read = len(records)
             for entry in sim.ptt_order:
@@ -198,9 +198,9 @@ def test_pairing_rule_matches_the_three_branch_rule():
             # every issued count, its last update in flight (so ``waiting`` is
             # not touched), then a persisted predecessor that issued its root
             for next_idx, persisted in [(n, False) for n in range(levels + 1)] + [(levels, True)]:
-                prev = PttEntry(0, 0, paths[0], None, 0)
+                prev = PttEntry(0, 0, paths[0], 0)
                 prev.next_idx, prev.inflight = next_idx, not persisted
-                new = PttEntry(1, 0, other, None, 0)
+                new = PttEntry(1, 0, other, 0)
                 want = three_branch_rule_pairs(prev, persisted, lca_level, levels)
                 pairs_before = sim.stats["coalesce_pairs"]
                 sim.coalesce_pair(new, prev)
