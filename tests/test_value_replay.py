@@ -127,9 +127,8 @@ def random_simulator(seed: int) -> Simulator:
     latency = LatencyConfig(mac_latency=rng.choice((0, 0, 1, 3, 40)), cache_hit=rng.choice((0, 2)),
                             cache_fill=rng.choice((0, 5, 200)), wpq_enqueue=rng.choice((0, 0, 1, 3)),
                             drain_interval=rng.choice((1, 8)))
-    capacity = rng.randint(1, 8)
     params = SimParams(scheme=rng.choice(SCHEMES), arity=arity, levels={2: 6, 3: 5, 8: 4}[arity],
-                       latency=latency, wpq_capacity=capacity, ptt_capacity=rng.randint(1, 8),
+                       latency=latency, wpq_capacity=rng.randint(1, 8), ptt_capacity=rng.randint(1, 8),
                        ett_capacity=rng.randint(1, 3), mac_units=rng.randrange(3), cache_kb=1,
                        ideal_caches=rng.random() < 0.5, seed=seed)
     spec = GenSpec(store_count=rng.randrange(5, 41), pages=rng.choice((1, 2, 8, 32)),
