@@ -14,11 +14,13 @@ space stay cheap and still agree with full recomputation.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Mapping, Optional
+from itertools import count, repeat
+from operator import add, floordiv, sub
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .crypto import KeySet, hash_node, node_hasher
 from .model_core import SplitCounter
@@ -94,6 +96,13 @@ class BmtGeometry:
             raise ValueError(f"level out of range: {level}")
         return self._level_starts[level - 1] + page // self.arity ** (self.levels - level)
 
+    def path_nodes(self, pages: Iterable[int], levels: Sequence[int]) -> Iterator[int]:
+        """``path_node(page, level)`` of each page and its level in
+        ``levels``, unchecked, computed a whole column at a time."""
+        starts = (None, *self._level_starts)  # by level
+        spans = tuple(self.arity ** (self.levels - level) for level in range(self.levels + 1))
+        return map(add, map(starts.__getitem__, levels), map(floordiv, pages, map(spans.__getitem__, levels)))
+
     def merge_level(self, path_a: list, path_b: list) -> int:
         """Level of the deepest node two update paths (leaf first) share."""
         idx = 0
@@ -124,12 +133,14 @@ def _default_digests(geometry: BmtGeometry, enc: bytes, mac: bytes) -> tuple:
 class BmtState:
     """Sparse node values plus the always-persistent root register."""
 
-    def __init__(self, geometry: BmtGeometry, keys: KeySet) -> None:
+    def __init__(self, geometry: BmtGeometry, keys: KeySet, digest: Optional[Callable[[bytes], int]] = None) -> None:
         self.geometry = geometry
+        self._levels, self._arity = geometry.levels, geometry.arity
         self.values: dict = {}
         # one little-endian 8-byte tag (crypto.TAG_BYTES) per child
         self._pack_tags = struct.Struct(f"<{geometry.arity}Q").pack
         self._hasher = node_hasher(keys)  # copied per node: keyed once per tree
+        self._digest = digest  # payload -> value in place of hashing; recovery passes a memo
         self._defaults = _default_digests(geometry, keys.enc, keys.mac)  # by level, root first
         self.root_register = self._defaults[1]
 
@@ -149,48 +160,63 @@ class BmtState:
         ``SplitCounter.to_block_bytes`` layout, which the caller passes for
         every leaf.  The digest is ``hash_node``'s.
 
-        Reads happen here, at issue time; committing the value is separate
-        so overlapped updates observe pre-update children.
+        This is the tree's digest rule: recovery's rebuild and
+        ``apply_node_update`` hash through it, and ``replay`` inlines it.
+        Committing the value is separate (``commit_node``).
         """
-        digest = self._hasher.copy()
-        if level == self.geometry.levels:
-            digest.update(leaf_block)
+        if level == self._levels:
+            payload = leaf_block
         else:
-            tags = map(self.values.get, self.geometry.children(label), repeat(self._defaults[level + 1]))
-            digest.update(self._pack_tags(*tags))
+            child = label * self._arity + 1  # the first of ``geometry.children(label)``
+            tags = map(self.values.get, range(child, child + self._arity), repeat(self._defaults[level + 1]))
+            payload = self._pack_tags(*tags)
+        if self._digest is not None:
+            return self._digest(payload)
+        digest = self._hasher.copy()
+        digest.update(payload)
         return int.from_bytes(digest.digest(), "little")
 
     def commit_node(self, label: int, value: int) -> None:
         self.values[label] = value
 
-    def replay(self, labels: list, levels: list, leaf_blocks: list, before: list) -> list:
-        """Replay node updates listed in commit order; returns their values.
+    def replay(self, labels: Sequence[int], levels: Sequence[int], leaf_block: Callable[[int], bytes],
+               before: Sequence[int]) -> array:
+        """Replay node updates listed in commit order; returns the values the
+        root took, in commit order.
 
         Update ``u`` computes node ``labels[u]`` at ``levels[u]`` as
-        ``compute_node`` does, from ``leaf_blocks[u]`` for a leaf (None for
-        any other node) and otherwise from the children that the first
-        ``before[u]`` updates left, ``before[u] <= u``; then every update
-        commits, in order, as ``commit_node`` does.  So the reads are taken
-        in order of ``before``, each after the commits it follows.
+        ``compute_node`` does, from ``leaf_block(u)`` for a leaf, and
+        otherwise from the children that the first ``before[u]`` updates
+        left, ``before[u] <= u``; then every update commits, in order, as
+        ``commit_node`` does.  So the reads are taken in order of ``before``
+        (``_read_order``), each after the commits it follows.  The digest is
+        inlined, not called through ``compute_node``: the call costs a sixth
+        of the pass.
         """
-        values, get, arity = self.values, self.values.get, self.geometry.arity
+        values, get, arity, leaf_level = self.values, self.values.get, self._arity, self._levels
         copy, pack, defaults, from_bytes = self._hasher.copy, self._pack_tags, self._defaults, int.from_bytes
-        out = [0] * len(labels)
-        applied = 0
-        for u in sorted(range(len(labels)), key=before.__getitem__):
-            while applied < before[u]:
-                values[labels[applied]] = out[applied]
-                applied += 1
-            digest = copy()
-            block = leaf_blocks[u]
-            if block is None:
-                child = labels[u] * arity + 1
-                digest.update(pack(*map(get, range(child, child + arity), repeat(defaults[levels[u] + 1]))))
-            else:
-                digest.update(block)
-            out[u] = from_bytes(digest.digest(), "little")
-        values.update(zip(labels[applied:], out[applied:]))
-        return out
+        held = [None] * len(labels)  # each update's value, from its read to its commit
+        roots, applied = array("Q"), 0
+        for reads in _read_order(before):
+            for first, u in reads:
+                while applied < first:
+                    node, value, held[applied] = labels[applied], held[applied], None
+                    values[node] = value
+                    if not node:
+                        roots.append(value)
+                    applied += 1
+                digest, level = copy(), levels[u]
+                if level == leaf_level:
+                    digest.update(leaf_block(u))
+                else:
+                    child = labels[u] * arity + 1
+                    digest.update(pack(*map(get, range(child, child + arity), repeat(defaults[level + 1]))))
+                held[u] = from_bytes(digest.digest(), "little")
+        for u in range(applied, len(labels)):
+            values[labels[u]] = held[u]
+            if not labels[u]:
+                roots.append(held[u])
+        return roots
 
     def apply_node_update(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
         level = self.geometry.level_of(label)
@@ -200,6 +226,23 @@ class BmtState:
 
     def root(self) -> int:
         return self.node_value(0)
+
+
+def _read_order(before: Sequence[int], chunk: int = 1024):
+    """``(before[u], u)`` of each index ``u``, sorted, in lists of about
+    ``chunk``.  No index is more than ``window`` past its ``before``, so
+    once the scan is that far past a count, no later index can precede
+    it: the pairs are sorted a chunk at a time, and only those that a
+    later index may still precede wait for the next."""
+    window = max(map(sub, count(), before), default=0)
+    pending: list = []
+    for start in range(0, len(before), chunk):
+        end = min(start + chunk, len(before))
+        pending += zip(before[start:end], range(start, end))
+        pending.sort()
+        final = bisect_left(pending, (end - window,)) if end < len(before) else len(pending)
+        yield pending[:final]
+        del pending[:final]
 
 
 @lru_cache(maxsize=1 << 15)  # one entry per distinct node payload, about 0.3 KB each
@@ -215,21 +258,21 @@ def rebuild_from_counters(
 
     This is the recovery path: interior nodes are never persisted, so the
     post-crash verifier recomputes them from whatever counters survived and
-    compares the resulting root against the root register.  Leaf and
-    interior digests go through ``recovery_digest``, keyed by their payload
-    bytes and keys, so successive crash points reuse the subtrees they share;
-    the run's own node values, replayed once from its update log
+    compares the resulting root against the root register.  ``compute_node``
+    hashes every node through ``recovery_digest``, keyed by its payload bytes
+    and keys, so successive crash points reuse the subtrees they share; the
+    run's own node values, replayed once from its update log
     (``BmtState.replay``), are not memoized.
     """
-    state = BmtState(geometry, keys)
-    values, enc, mac = state.values, keys.enc, keys.mac
+    enc, mac = keys.enc, keys.mac
+    state = BmtState(geometry, keys, lambda payload: recovery_digest(payload, enc, mac))
+    values, compute, levels = state.values, state.compute_node, geometry.levels
     for page in counters:
-        values[geometry.leaf_for_page(page)] = recovery_digest(counters[page].to_block_bytes(), enc, mac)
+        leaf = geometry.leaf_for_page(page)
+        values[leaf] = compute(leaf, levels, counters[page].to_block_bytes())
     frontier = {geometry.parent(leaf) for leaf in values}
-    for level in range(geometry.levels - 1, 0, -1):
-        default = state.default_value(level + 1)
+    for level in range(levels - 1, 0, -1):
         for label in frontier:  # a level's nodes depend only on the level below
-            tags = map(values.get, geometry.children(label), repeat(default))
-            values[label] = recovery_digest(state._pack_tags(*tags), enc, mac)
+            values[label] = compute(label, level)
         frontier = {geometry.parent(label) for label in frontier if label > 0}
     return state

@@ -44,9 +44,10 @@ class _RunConfigMethods:
     """Fully resolved configuration of one simulation run.
 
     Its fields and their defaults come from ``SimParams`` (all but
-    ``latency``) and ``LatencyConfig``, then ``trace_file``, then the
-    ``GenSpec`` fields named in ``GEN_FIELDS``.  Building one validates it:
-    an out-of-range value raises ValueError.
+    ``latency``) and ``LatencyConfig``, then ``trace_file`` and
+    ``event_log``, which only the report reads, then the ``GenSpec`` fields
+    named in ``GEN_FIELDS``.  Building one validates it: an out-of-range
+    value raises ValueError.
     """
 
     def __post_init__(self) -> None:
@@ -88,7 +89,9 @@ _GEN_SOURCES = {f.name: f for f in fields(GenSpec)}
 RunConfig = make_dataclass(
     "RunConfig",
     _knobs((f.name, f) for f in (*fields(SimParams), *fields(LatencyConfig)) if f.name != "latency")
-    + [("trace_file", Optional[str], field(default=None))]
+    + [("trace_file", Optional[str], field(default=None)),
+       # the report carries the update log's digest; the run keeps the log either way
+       ("event_log", bool, field(default=True))]
     + _knobs((name, _GEN_SOURCES[spec]) for name, spec in GEN_FIELDS.items()),
     bases=(_RunConfigMethods,),
     frozen=True,

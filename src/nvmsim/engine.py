@@ -68,11 +68,11 @@ arrival and its epoch's unlock.
 
 What a run keeps of each persist is one 64-byte row of columns: five
 cycles in the ``PersistRecord``, and the address, epoch and payload seed in
-the golden log; plus a 24-byte record per node update, whatever
-``event_log`` says, and 16 bytes per root update.  No scheduling decision
-reads the tuple's data, so a run computes none of it: a persist's
-plaintext, ciphertext, counter block and MAC are sealed, in pid order and
-once, into plain lists when a crash or a view first reads them
+the golden log; plus a 24-byte record per node update and 16 bytes per
+root update.  No scheduling decision reads the tuple's data, so a run
+computes none of it: a persist's plaintext, ciphertext, counter block and
+MAC are sealed, in pid order and once, into plain lists when a crash or a
+view first reads them
 (``PersistRecord.seal``).  Nor does it compute a tree node's digest: the
 first read of ``bmt``, ``root_history`` or ``root_values()`` replays the
 whole tree from the update log (``_replay_values``), over the counter
@@ -93,8 +93,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import compress, islice, repeat
-from operator import add, attrgetter, itemgetter, not_, rshift
+from itertools import islice, repeat
+from operator import add, and_, attrgetter, floordiv, itemgetter, mod, rshift
 from typing import Optional
 
 from .bmt import BmtGeometry, BmtState
@@ -145,7 +145,6 @@ class SimParams:
     cache_kb: int = 128
     cache_assoc: int = 8
     ideal_caches: bool = False
-    event_log: bool = True  # the report carries the update log's digest; the run keeps the log either way
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -898,28 +897,34 @@ class Simulator:
         An update reads the tree as the commits before its issue left it:
         those that ended before its start cycle, ``bisect_left(ends, start)``,
         and the first ``k`` of its start cycle, which its key carries.  So
-        the pass takes the reads in order of that count, applying each
-        commit, in log order, before the first read that follows it.  A run
-        that went on since the last replay is replayed from its first commit.
+        the pass (``BmtState.replay``) takes the reads in order of that
+        count, applying each commit, in log order, before the first read
+        that follows it.  While it runs it holds 26 bytes per update: the
+        count, the node and its level in arrays, and a slot for its value
+        from read to commit.  A run that went on since the last replay is
+        replayed from its first commit.
         """
         log = self._updates
         if self._replayed == len(log):
             return
         record, levels = self.record, self.geometry.levels
-        starts, ends, keys = log[0::3], log[1::3].tolist(), log[2::3]
-        before = list(map(add, map(partial(bisect_left, ends), starts), map(rshift, keys, repeat(_K_SHIFT))))
         record.fill_counters(len(record))
-        blocks = record.counter_block
-        labels, level_of, leaf_blocks = [], [], []
-        for _start, _end, pid, _epoch, label, level in self.iter_update_log():
-            labels.append(label)
-            level_of.append(level)
-            leaf_blocks.append(blocks[pid].to_block_bytes() if level == levels else None)
+        blocks, ends = record.counter_block, log[1::3]
+        before = array("q", map(add, map(partial(bisect_left, ends), islice(log, 0, None, 3)),
+                                map(rshift, islice(log, 2, None, 3), repeat(_K_SHIFT))))
+        del ends
+        # each update's node, decoded as iter_update_log does, a column at a time
+        codes = array("q", map(and_, islice(log, 2, None, 3), repeat(KEY_MASK)))  # pid * levels + level - 1
+        level_of = array("H", map(add, map(mod, codes, repeat(levels)), repeat(1)))
+        pages = map(floordiv, map(record.addr.__getitem__, map(floordiv, codes, repeat(levels))), repeat(PAGE_SIZE))
+        labels = array("q", self.geometry.path_nodes(pages, level_of))
+        del codes, pages
+
+        def leaf_block(u: int) -> bytes:
+            return blocks[(log[3 * u + 2] & KEY_MASK) // levels].to_block_bytes()
+
         state = BmtState(self.geometry, self.keys)
-        out = state.replay(labels, level_of, leaf_blocks, before)
-        roots = record.root_value
-        del roots[:]
-        roots.extend(compress(out, map(not_, labels)))
+        record.root_value = roots = state.replay(labels, level_of, leaf_block, before)
         if roots:
             state.root_register = roots[-1]
         self._bmt, self._replayed = state, len(log)

@@ -390,7 +390,7 @@ def test_omission_matrix_of_small_ep_configurations_exits_with_a_verdict(capsys)
 def test_run_config_fields_are_derived_from_their_sources():
     sources = {f.name: f.default for f in fields(SimParams) if f.name != "latency"}
     sources.update((f.name, f.default) for f in fields(LatencyConfig))
-    sources["trace_file"] = None
+    sources.update(trace_file=None, event_log=True)
     gen_defaults = {f.name: f.default for f in fields(GenSpec)}
     sources.update((name, gen_defaults[spec]) for name, spec in GEN_FIELDS.items())
     assert {f.name: f.default for f in fields(RunConfig)} == sources

@@ -28,8 +28,9 @@ from nvmsim import (
     recover,
     run_until_idle,
 )
-from nvmsim.bmt import BmtState
+from nvmsim.bmt import BmtState, _read_order
 from nvmsim.cli import event_log_digest
+from nvmsim.engine import KEY_MASK
 
 from test_epoch_watermark import step
 from test_schedule_lock import case_id, case_simulator, cases
@@ -144,8 +145,30 @@ def test_replay_matches_hashing_at_issue_on_random_configurations():
         sim = random_simulator(seed)
         eager = run_with_reference(sim)
         assert_replay_matches(sim, eager, (seed, sim.params))
-        same_cycle += any(key >> 48 for key in sim._updates[2::3])
+        same_cycle += any(key & ~KEY_MASK for key in sim._updates[2::3])
     assert same_cycle >= 50, same_cycle
+
+
+def test_read_order_sorts_a_chunk_at_a_time():
+    # each count is at most its index and at least the index less a window,
+    # which may span several chunks
+    rng = random.Random(5)
+    for _ in range(400):
+        n, window, chunk = rng.randrange(60), rng.randrange(12), rng.randint(1, 9)
+        before = [rng.randint(max(0, u - window), u) for u in range(n)]
+        chunks = list(_read_order(before, chunk))
+        assert [pair for reads in chunks for pair in reads] == sorted(zip(before, range(n)))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_replay_matches_hashing_at_issue_over_several_chunks_of_reads(scheme):
+    # a MAC latency of 40 keeps many updates in flight, and the log is
+    # longer than the 1,024 reads that the replay sorts at a time
+    params = SimParams(scheme=scheme, levels=5, cache_kb=1, latency=LatencyConfig(mac_latency=40))
+    sim = Simulator(params, generate(GenSpec(store_count=800, pages=64, run_length=3, fence_interval=6, seed=4)))
+    eager = run_with_reference(sim)
+    assert len(sim._updates) // 3 > 1024
+    assert_replay_matches(sim, eager, scheme)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
