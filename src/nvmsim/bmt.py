@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, repeat
-from operator import add, floordiv, sub
+from operator import add, floordiv, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .crypto import KeySet, hash_node, node_hasher
@@ -198,7 +198,8 @@ class BmtState:
         held = [None] * len(labels)  # each update's value, from its read to its commit
         roots, applied = array("Q"), 0
         for reads in _read_order(before):
-            for first, u in reads:
+            for key in reads:
+                first, u = key >> 32, key & 0xFFFFFFFF
                 while applied < first:
                     node, value, held[applied] = labels[applied], held[applied], None
                     values[node] = value
@@ -229,18 +230,19 @@ class BmtState:
 
 
 def _read_order(before: Sequence[int], chunk: int = 1024):
-    """``(before[u], u)`` of each index ``u``, sorted, in lists of about
-    ``chunk``.  No index is more than ``window`` past its ``before``, so
-    once the scan is that far past a count, no later index can precede
-    it: the pairs are sorted a chunk at a time, and only those that a
-    later index may still precede wait for the next."""
+    """``before[u] << 32 | u`` of each index ``u`` below ``2**32``, sorted,
+    in lists of about ``chunk``.  No index is more than ``window`` past its
+    ``before``, so once the scan is that far past a count, no later index
+    can precede it: the keys are sorted a chunk at a time, and only those
+    that a later index may still precede wait for the next.  The keys are
+    ints, which the garbage collector does not track."""
     window = max(map(sub, count(), before), default=0)
     pending: list = []
     for start in range(0, len(before), chunk):
         end = min(start + chunk, len(before))
-        pending += zip(before[start:end], range(start, end))
+        pending += map(or_, map(lshift, before[start:end], repeat(32)), range(start, end))
         pending.sort()
-        final = bisect_left(pending, (end - window,)) if end < len(before) else len(pending)
+        final = bisect_left(pending, end - window << 32) if end < len(before) else len(pending)
         yield pending[:final]
         del pending[:final]
 

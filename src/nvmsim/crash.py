@@ -349,15 +349,16 @@ def check_prefix_consistency(report: RecoveryReport, golden: GoldenMemory) -> Co
     # EP
     boundary = max(report.snapshot.completed_epochs) if report.snapshot.completed_epochs else None
     expected = golden.state_at_epoch_end(boundary) if boundary is not None else {}
-    for addr in sorted(set(expected) | set(report.plaintexts)):
-        if addr in report.snapshot.excluded_addrs:
+    excluded, verdicts, plaintexts = report.snapshot.excluded_addrs, report.verdicts, report.plaintexts
+    for addr in sorted(expected.keys() | plaintexts.keys()):
+        if addr in excluded:
             continue
-        if "mac-failure" in report.verdicts.get(addr, ()):
+        if "mac-failure" in verdicts.get(addr, ()):
             return ConsistencyResult(
                 False,
                 violation=Violation(addr, "epoch-order", f"block 0x{addr:x} MAC failed outside crashed epoch"),
             )
-        if report.plaintexts.get(addr) != expected.get(addr):
+        if plaintexts.get(addr) != expected.get(addr):
             return ConsistencyResult(
                 False,
                 violation=Violation(

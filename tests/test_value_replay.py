@@ -156,8 +156,8 @@ def test_read_order_sorts_a_chunk_at_a_time():
     for _ in range(400):
         n, window, chunk = rng.randrange(60), rng.randrange(12), rng.randint(1, 9)
         before = [rng.randint(max(0, u - window), u) for u in range(n)]
-        chunks = list(_read_order(before, chunk))
-        assert [pair for reads in chunks for pair in reads] == sorted(zip(before, range(n)))
+        keys = [key for reads in _read_order(before, chunk) for key in reads]
+        assert [(key >> 32, key & 0xFFFFFFFF) for key in keys] == sorted(zip(before, range(n)))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
