@@ -899,7 +899,8 @@ class Simulator:
         and the first ``k`` of its start cycle, which its key carries.  So
         the pass (``BmtState.replay``) takes the reads in order of that
         count, applying each commit, in log order, before the first read
-        that follows it.  While it runs it holds 26 bytes per update: the
+        that follows it.  Counting takes a list of the commit cycles,
+        dropped before the pass; the pass holds 26 bytes per update: the
         count, the node and its level in arrays, and a slot for its value
         from read to commit.  A run that went on since the last replay is
         replayed from its first commit.
@@ -909,7 +910,7 @@ class Simulator:
             return
         record, levels = self.record, self.geometry.levels
         record.fill_counters(len(record))
-        blocks, ends = record.counter_block, log[1::3]
+        blocks, ends = record.counter_block, log[1::3].tolist()  # a list bisects faster than an array
         before = array("q", map(add, map(partial(bisect_left, ends), islice(log, 0, None, 3)),
                                 map(rshift, islice(log, 2, None, 3), repeat(_K_SHIFT))))
         del ends
