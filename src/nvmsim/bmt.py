@@ -17,13 +17,13 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import count, repeat
-from operator import add, floordiv, lshift, or_, sub
+from functools import cached_property, lru_cache, partial
+from itertools import count, islice, repeat, tee
+from operator import add, and_, floordiv, lshift, mod, or_, rshift, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .crypto import KeySet, hash_node, node_hasher
-from .model_core import SplitCounter
+from .model_core import PAGE_SIZE, SplitCounter
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ class BmtGeometry:
             raise ValueError(f"label out of range: {label}")
         return bisect_right(self._level_starts, label)
 
-    def is_leaf(self, label: int) -> bool:
-        return self.first_leaf <= label < self.first_leaf + self.leaf_count
-
     def leaf_for_page(self, page: int) -> int:
         if not 0 <= page < self.leaf_count:
             raise ValueError(f"page {page} outside protected capacity ({self.leaf_count} pages)")
@@ -79,7 +76,7 @@ class BmtGeometry:
 
     def update_path(self, leaf_label: int) -> list:
         """Labels from the leaf to the root, inclusive; length == levels."""
-        if not self.is_leaf(leaf_label):
+        if not self.first_leaf <= leaf_label < self.first_leaf + self.leaf_count:
             raise ValueError(f"label {leaf_label} is not a leaf")
         path = [leaf_label]
         node = leaf_label
@@ -88,20 +85,15 @@ class BmtGeometry:
             path.append(node)
         return path
 
-    def path_node(self, page: int, level: int) -> int:
-        """Label at ``level`` on the update path of ``page``'s leaf, without
-        walking the path: the node's index within its level is the page
-        number divided by the leaves under each node of that level."""
-        if not 1 <= level <= self.levels:
-            raise ValueError(f"level out of range: {level}")
-        return self._level_starts[level - 1] + page // self.arity ** (self.levels - level)
-
-    def path_nodes(self, pages: Iterable[int], levels: Sequence[int]) -> Iterator[int]:
-        """``path_node(page, level)`` of each page and its level in
-        ``levels``, unchecked, computed a whole column at a time."""
+    def path_nodes(self, pages: Iterable[int], levels: Iterable[int]) -> Iterator[int]:
+        """The label at each level of ``levels`` on the update path of the
+        matching page's leaf, unchecked and without walking the path: the
+        node's index within its level is the page number divided by the
+        leaves under each node of that level."""
         starts = (None, *self._level_starts)  # by level
         spans = tuple(self.arity ** (self.levels - level) for level in range(self.levels + 1))
-        return map(add, map(starts.__getitem__, levels), map(floordiv, pages, map(spans.__getitem__, levels)))
+        levels, again = tee(levels)  # read in step, so the copy buffers one level
+        return map(add, map(starts.__getitem__, levels), map(floordiv, pages, map(spans.__getitem__, again)))
 
     def merge_level(self, path_a: list, path_b: list) -> int:
         """Level of the deepest node two update paths (leaf first) share."""
@@ -160,9 +152,9 @@ class BmtState:
         ``SplitCounter.to_block_bytes`` layout, which the caller passes for
         every leaf.  The digest is ``hash_node``'s.
 
-        This is the tree's digest rule: recovery's rebuild and
-        ``apply_node_update`` hash through it, and ``replay`` inlines it.
-        Committing the value is separate (``commit_node``).
+        This is the tree's digest rule: recovery's rebuild hashes through
+        it, and ``replay`` inlines it.  Committing the value is separate
+        (``commit_node``).
         """
         if level == self._levels:
             payload = leaf_block
@@ -219,12 +211,6 @@ class BmtState:
                 roots.append(held[u])
         return roots
 
-    def apply_node_update(self, label: int, counter_block: Optional[SplitCounter] = None) -> int:
-        level = self.geometry.level_of(label)
-        value = self.compute_node(label, level, counter_block and counter_block.to_block_bytes())
-        self.commit_node(label, value)
-        return value
-
     def root(self) -> int:
         return self.node_value(0)
 
@@ -245,6 +231,102 @@ def _read_order(before: Sequence[int], chunk: int = 1024):
         final = bisect_left(pending, end - window << 32) if end < len(before) else len(pending)
         yield pending[:final]
         del pending[:final]
+
+
+# a record's key holds pid * levels + level - 1 below bit 48 and, above it, k.  A persist's own
+# previous update may be among the k commits, and at a MAC latency of 0 a persist climbs several
+# levels in one cycle, so the PTT capacity does not bound k; the 15 bits that keep the key an int64 must
+_K_SHIFT = 48
+_K_LIMIT = 1 << 63 - _K_SHIFT
+_KEY_MASK = (1 << _K_SHIFT) - 1
+
+
+class UpdateLog:
+    """A run's node updates in commit order, one 24-byte record each, and
+    the tree they leave, replayed from the records on first read.
+
+    A record is ``(start, end, key)``: the cycles the update issued and
+    committed, and a key that packs its persist, its level and ``k``, the
+    commits of ``start`` before its issue.  Only ``append`` writes a record
+    and only this class reads a key.  ``rows`` decodes the records as the
+    event log, and ``replay`` computes the values of the nodes they update.
+    """
+
+    def __init__(self, geometry: BmtGeometry, keys: KeySet, addrs: Sequence[int], epochs: Sequence[int],
+                 counter_blocks: Callable[[int], Sequence[SplitCounter]]) -> None:
+        self.geometry, self.keys, self._levels = geometry, keys, geometry.levels
+        self._addrs, self._epochs = addrs, epochs  # each persist's block address and epoch
+        self._counter_blocks = counter_blocks  # n -> the counter blocks of the first n persists
+        self._records = array("q")
+        # a deep tree's labels pass int64, so it replays them from a list
+        self._label_column = partial(array, "q") if geometry.node_count <= 1 << 63 else list
+        self._replayed = (-1, None, None)  # the log length, the tree and the root values of the last replay
+
+    def append(self, start: int, end: int, pid: int, level: int, k: int) -> None:
+        """Log an update of persist ``pid`` at ``level``, issued at ``start``
+        after ``k`` of that cycle's commits and committed at ``end``."""
+        if k >= _K_LIMIT:
+            raise OverflowError(f"{k} commits in cycle {start} before an issue overflow the update log key")
+        self._records.extend((start, end, pid * self._levels + level - 1 | k << _K_SHIFT))
+
+    def _decode(self) -> tuple:
+        """The persist, level and node label of each record, as lazy
+        columns.  The node is the one at that level on the persist's update
+        path, under coalescing too: a trailing persist carries the shared
+        path above the merge point, which is its own.  The columns share one
+        pass over the keys, so a column read ahead buffers what it read."""
+        levels = self._levels
+        codes, again = tee(map(and_, islice(self._records, 2, None, 3), repeat(_KEY_MASK)))
+        pids, of_page = tee(map(floordiv, codes, repeat(levels)))
+        pages = map(floordiv, map(self._addrs.__getitem__, of_page), repeat(PAGE_SIZE))
+        level_column, of_label = tee(map(add, map(mod, again, repeat(levels)), repeat(1)))
+        return pids, level_column, self.geometry.path_nodes(pages, of_label)
+
+    def rows(self) -> Iterator[tuple]:
+        """Each update as ``(start, end, pid, epoch, label, level)``, in
+        commit order, decoded as it is read."""
+        pids, levels, labels = self._decode()
+        pids, owners = tee(pids)
+        records = self._records
+        return zip(islice(records, 0, None, 3), islice(records, 1, None, 3), pids,
+                   map(self._epochs.__getitem__, owners), labels, levels)
+
+    def replay(self) -> tuple:
+        """The tree as the logged updates left it (node ``values`` and the
+        ``root_register``) and the value of each root update, in commit
+        order, as hashing at issue and committing at completion would leave
+        them: one pass (``BmtState.replay``), repeated from the first record
+        once the log has grown.
+
+        An update reads the tree as the commits before its issue left it:
+        those that ended before its start cycle, ``bisect_left(ends,
+        start)``, and the first ``k`` of its start cycle.  Counting takes a
+        list of the commit cycles, dropped before the pass; the pass holds
+        22 bytes per update: the count (below ``2**32``, as ``_read_order``
+        needs), the node and its level in arrays, and a slot for its value
+        from read to commit.
+        """
+        records, levels = self._records, self._levels
+        if self._replayed[0] == len(records):
+            return self._replayed[1:]
+        blocks = self._counter_blocks(len(self._addrs))
+        ends = records[1::3].tolist()  # a list bisects faster than an array
+        before = array("I", map(add, map(partial(bisect_left, ends), islice(records, 0, None, 3)),
+                                map(rshift, islice(records, 2, None, 3), repeat(_K_SHIFT))))
+        del ends
+        level_column, labels = self._decode()[1:]
+        labels = self._label_column(labels)  # first, so only small level ints wait for level_column
+        level_column = array("H", level_column)
+
+        def leaf_block(u: int) -> bytes:  # its persist's counter block
+            return blocks[(records[3 * u + 2] & _KEY_MASK) // levels].to_block_bytes()
+
+        tree = BmtState(self.geometry, self.keys)
+        roots = tree.replay(labels, level_column, leaf_block, before)
+        if roots:
+            tree.root_register = roots[-1]
+        self._replayed = (len(records), tree, roots)
+        return tree, roots
 
 
 @lru_cache(maxsize=1 << 15)  # one entry per distinct node payload, about 0.3 KB each

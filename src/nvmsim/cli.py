@@ -120,7 +120,7 @@ def event_log_digest(sim: Simulator) -> str:
     so the whole list of tuples is never built."""
     digest = hashlib.sha256(b"[")
     separator = b""
-    for record in sim.iter_update_log():
+    for record in sim.log.rows():
         # the records hold ints only, which json writes in decimal
         digest.update(separator + b"[%d, %d, %d, %d, %d, %d]" % record)
         separator = b", "

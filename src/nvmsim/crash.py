@@ -20,7 +20,7 @@ outside the crashed epoch's footprint.  Durable state only grows as the cut
 moves later, so recovery memoizes block openings and tree digests by their
 full inputs in bounded LRU memos; every check still runs at every point.
 The root register at a cut comes from the run's root values, which the
-first cut replays from the update log (``Simulator.root_values``).
+first cut replays from the run's update log (``UpdateLog.replay``).
 """
 
 from __future__ import annotations

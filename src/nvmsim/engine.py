@@ -45,9 +45,7 @@ Node updates read their inputs at issue time and commit the new value at
 completion.  That matches a hardware dataflow pipeline and is what keeps
 strict-persistency roots exactly equal to persist-order prefixes even
 while younger persists overwrite shared state underneath.  No scheduling
-decision reads a node value, so the engine computes none: each update's
-log record keeps where its reads fall in the commit order, and the value
-plane replays every value from the log when one is first read.
+decision reads a node value, so the engine computes none (``UpdateLog``).
 
 Under epoch persistency the epoch tracking table (ETT), ``ett``, holds an
 ``EttEntry`` per live epoch with members, oldest first; an epoch's stores
@@ -68,21 +66,19 @@ arrival and its epoch's unlock.
 
 What a run keeps of each persist is one 64-byte row of columns: five
 cycles in the ``PersistRecord``, and the address, epoch and payload seed in
-the golden log; plus a 24-byte record per node update and 16 bytes per
-root update.  No scheduling decision reads the tuple's data, so a run
-computes none of it: a persist's plaintext, ciphertext, counter block and
-MAC are sealed, in pid order and once, into plain lists when a crash or a
-view first reads them
-(``PersistRecord.seal``).  Nor does it compute a tree node's digest: the
-first read of ``bmt``, ``root_history`` or ``root_values()`` replays the
-whole tree from the update log (``_replay_values``), over the counter
-blocks of that same fill.  Only the tracking tables hold objects, one
-``PttEntry`` per persist still climbing the tree, so no per-persist
-object outlives its persist, and ``trace`` lets each event go as it is
-submitted.  ``wpq_entries``, ``root_history`` and ``golden.log`` read the
-columns as read-only ``Rows`` of ``WpqEntry`` views, tuples and
-``StoreRecord``s; crash folding and recovery checks read the columns
-themselves.
+the golden log; plus a 24-byte record per node update in ``log`` and 16
+bytes per root update.  A run computes none of the tuple's data: a
+persist's plaintext, ciphertext, counter block and MAC are sealed, in pid
+order and once, into plain lists when a crash or a view first reads them
+(``PersistRecord.seal``).  Nor does it hash a tree node: the first read of
+``bmt``, ``root_history`` or ``root_values()`` replays the tree from
+``log`` over the counter blocks of that same fill.  Only the tracking
+tables hold objects, one ``PttEntry`` per persist still climbing the
+tree, so no per-persist object outlives its persist, and ``trace`` lets
+each event go as it is submitted.  ``wpq_entries``, ``root_history`` and
+``golden.log`` read the columns as read-only ``Rows`` of ``WpqEntry``
+views, tuples and ``StoreRecord``s; crash folding and recovery checks read
+the columns themselves.
 """
 
 from __future__ import annotations
@@ -93,11 +89,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import islice, repeat
-from operator import add, and_, attrgetter, floordiv, itemgetter, mod, rshift
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .bmt import BmtGeometry, BmtState
+from .bmt import BmtGeometry, BmtState, UpdateLog
 from .caches import MetadataCache, cache_sets
 # the engine encrypts nothing; hostbench/test_hostbench.py wraps and restores the name engine.encrypt
 from .crypto import KeySet, encrypt, seal_block  # noqa: F401
@@ -120,13 +116,6 @@ EPOCH_SCHEMES = ("ooo", "coalesce")
 COMPONENTS = ("ciphertext", "counter", "mac")
 
 _PID = attrgetter("pid")
-# an update log key holds pid * levels + level - 1 below bit 48 (KEY_MASK) and, above it, k: how
-# many commits of the update's start cycle came before its issue.  A persist's own previous update
-# may be one of them, and at a MAC latency of 0 a persist climbs several levels in one cycle, so the
-# PTT capacity does not bound k; the 15 bits that keep the key a positive int64 must
-_K_SHIFT = 48
-_K_LIMIT = 1 << 63 - _K_SHIFT
-KEY_MASK = (1 << _K_SHIFT) - 1
 _ZERO_COUNTER = SplitCounter()  # an untouched page's counter block
 
 
@@ -176,9 +165,8 @@ class PersistRecord:
     ``durable`` (queued to drain: it survives power loss from here on) and
     its drain.  A persist completes at the later of its arrival and its
     root effect (``completion``).  ``addr`` and ``epoch`` are the golden
-    log's own columns.  The root history is three more columns, one row per
-    root update in commit order; the run fills ``root_cycle`` and
-    ``root_pid``, and ``Simulator._replay_values`` fills ``root_value``.
+    log's own columns.  The root history's cycles and pids, in commit order,
+    are ``root_cycle`` and ``root_pid``; its values are the update log's.
 
     The tuple's data is sealed on its first read, by ``seal``: a run keeps
     none of it, and no scheduling decision reads it.  ``ciphertext`` and
@@ -187,14 +175,14 @@ class PersistRecord:
     """
 
     __slots__ = ("addr", "epoch", "submit", "arrival", "root_done", "durable", "drained",
-                 "root_cycle", "root_pid", "root_value",
+                 "root_cycle", "root_pid",
                  "plaintexts", "keys", "ciphertext", "counter_block", "mac", "_counters")
 
     def __init__(self, golden: GoldenMemory, keys: KeySet) -> None:
         self.addr, self.epoch = golden.addr, golden.epoch
         self.submit, self.arrival, self.root_done = array("q"), array("q"), array("q")
         self.durable, self.drained = array("q"), array("q")
-        self.root_cycle, self.root_pid, self.root_value = array("q"), array("q"), array("Q")
+        self.root_cycle, self.root_pid = array("q"), array("q")
         self.plaintexts, self.keys = golden.plaintexts, keys
         self.ciphertext, self.counter_block, self.mac = [], [], array("Q")
         self._counters: dict = {}  # page -> counter block after the last filled pid
@@ -211,16 +199,17 @@ class PersistRecord:
         """The cycle persist ``pid`` completed its whole tuple, or ``NEVER``."""
         return max(self.arrival[pid], self.root_done[pid])
 
-    def fill_counters(self, n: int) -> None:
+    def fill_counters(self, n: int) -> list:
         """Fill ``counter_block`` for the first ``n`` pids, in pid order, each
-        once: each page's counter block replays its bumps.  ``seal`` and the
-        tree's value replay both read this one fill."""
+        once, and return it: each page's counter block replays its bumps.
+        ``seal`` and the tree's value replay both read this one fill."""
         start, end = len(self.counter_block), min(n, len(self.submit))
         addrs, counters, blocks = self.addr, self._counters, self.counter_block
         for pid in range(start, end):
             page, offset = divmod(addrs[pid], PAGE_SIZE)
             counter = counters[page] = counters.get(page, _ZERO_COUNTER).bump(offset // BLOCK_SIZE)
             blocks.append(counter)
+        return blocks
 
     def seal(self, n: int) -> None:
         """Fill ``ciphertext``, ``counter_block`` and ``mac`` for the first
@@ -376,7 +365,6 @@ class Simulator:
         self.events = EventQueue()
         self.golden = GoldenMemory()
         self.counters: dict = {}
-        self._bmt, self._replayed = None, -1  # the replayed tree, and the log length it covers
 
         kb = params.cache_kb * 1024
         self.counter_cache = MetadataCache(kb, params.cache_assoc, params.ideal_caches)
@@ -389,16 +377,14 @@ class Simulator:
         self.page_ready: dict = {}
 
         self.record = PersistRecord(self.golden, self.keys)
+        self.log = UpdateLog(self.geometry, self.keys, self.golden.addr, self.golden.epoch,
+                             self.record.fill_counters)
         # read-only views of the record: those not drained yet occupy the WPQ
         self.wpq_entries = Rows(self.record.__len__, partial(WpqEntry, self.record))
         self.ptt_order: deque = deque()
         self.ett: list = []  # EttEntry per live epoch with members, oldest first
         self.epoch_completion: dict = {}  # epoch -> completion cycle
         self.last_epoch_done = -1  # completion cycle of the last completed epoch
-
-        # (start, end, pid * levels + level - 1 | k << _K_SHIFT) per node update, in commit order,
-        # where k counts the commits of cycle `start` before the update issued
-        self._updates = array("q")
 
         # scheduler state; the policy is a plain function, called as
         # self._dispatch(self, now), so no bound method refers back to self
@@ -578,9 +564,8 @@ class Simulator:
         entry.inflight = True
         self.inflight_updates += 1
         # the update reads the tree as the commits before it left it: those of
-        # earlier cycles and the first `k` of this one (see _replay_values)
+        # earlier cycles and the first `k` of this one (see UpdateLog)
         k = self._commits_now if self._commit_cycle == now else 0
-        assert k < _K_LIMIT, f"{k} commits in cycle {now} before an issue overflow the update log key"
 
         hit = self.bmt_cache.access(label)
         if hit:
@@ -617,7 +602,7 @@ class Simulator:
             if not self.latency.mac_latency:
                 self._committed_now.add(label)
         self.stats["node_updates"] += 1
-        self._updates.extend((start, now, entry.pid * self.geometry.levels + level - 1 | k << _K_SHIFT))
+        self.log.append(start, now, entry.pid, level, k)
 
         entry.inflight = False
         self.inflight_updates -= 1
@@ -864,21 +849,17 @@ class Simulator:
         self._schedule_drain(now)
 
     # ------------------------------------------------------------------
-    # the value plane: node values replayed from the update log
+    # introspection; node values and the event log come from the update log
     # ------------------------------------------------------------------
 
     @property
     def bmt(self) -> BmtState:
-        """The tree as the run's committed updates left it: node ``values``
-        and the ``root_register``, replayed from the update log on first read."""
-        self._replay_values()
-        return self._bmt
+        """The tree as the run's committed updates left it (``UpdateLog.replay``)."""
+        return self.log.replay()[0]
 
     def root_values(self) -> array:
-        """The record's ``root_value`` column, one value per root update in
-        commit order, replayed from the update log on first read."""
-        self._replay_values()
-        return self.record.root_value
+        """The value of each root update, in commit order (``UpdateLog.replay``)."""
+        return self.log.replay()[1]
 
     @property
     def root_history(self) -> Rows:
@@ -887,79 +868,13 @@ class Simulator:
         return Rows(self.record.root_cycle.__len__, self._root_row)
 
     def _root_row(self, i: int) -> tuple:
-        record = self.record
-        return (record.root_cycle[i], record.root_pid[i], self.root_values()[i])
-
-    def _replay_values(self) -> None:
-        """Compute every committed update's value, as hashing at issue and
-        committing at completion would, in one pass over the log.
-
-        An update reads the tree as the commits before its issue left it:
-        those that ended before its start cycle, ``bisect_left(ends, start)``,
-        and the first ``k`` of its start cycle, which its key carries.  So
-        the pass (``BmtState.replay``) takes the reads in order of that
-        count, applying each commit, in log order, before the first read
-        that follows it.  Counting takes a list of the commit cycles,
-        dropped before the pass; the pass holds 26 bytes per update: the
-        count, the node and its level in arrays, and a slot for its value
-        from read to commit.  A run that went on since the last replay is
-        replayed from its first commit.
-        """
-        log = self._updates
-        if self._replayed == len(log):
-            return
-        record, levels = self.record, self.geometry.levels
-        record.fill_counters(len(record))
-        blocks, ends = record.counter_block, log[1::3].tolist()  # a list bisects faster than an array
-        before = array("q", map(add, map(partial(bisect_left, ends), islice(log, 0, None, 3)),
-                                map(rshift, islice(log, 2, None, 3), repeat(_K_SHIFT))))
-        del ends
-        # each update's node, decoded as iter_update_log does, a column at a time
-        codes = array("q", map(and_, islice(log, 2, None, 3), repeat(KEY_MASK)))  # pid * levels + level - 1
-        level_of = array("H", map(add, map(mod, codes, repeat(levels)), repeat(1)))
-        pages = map(floordiv, map(record.addr.__getitem__, map(floordiv, codes, repeat(levels))), repeat(PAGE_SIZE))
-        labels = array("q", self.geometry.path_nodes(pages, level_of))
-        del codes, pages
-
-        def leaf_block(u: int) -> bytes:
-            return blocks[(log[3 * u + 2] & KEY_MASK) // levels].to_block_bytes()
-
-        state = BmtState(self.geometry, self.keys)
-        record.root_value = roots = state.replay(labels, level_of, leaf_block, before)
-        if roots:
-            state.root_register = roots[-1]
-        self._bmt, self._replayed = state, len(log)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def iter_update_log(self):
-        """Each node update as ``(start, end, pid, epoch, label, level)``,
-        in completion order.
-
-        The run keeps one 24-byte record ``(start, end, key)`` per update,
-        whose key's low bits (``KEY_MASK``) are ``pid * levels + level - 1``;
-        the epoch comes from the persist record and the label is the node at
-        ``level`` on the persist's own update path, which is the node it
-        updated, under coalescing too (a trailing persist carries the shared
-        path above the merge point, which is its own path).
-        """
-        addrs, epochs = self.record.addr, self.record.epoch
-        node_at = self.geometry.path_node
-        levels = self.geometry.levels
-        fields = iter(self._updates)
-        for start, end, key in zip(fields, fields, fields):
-            pid, level = divmod(key & KEY_MASK, levels)
-            yield (start, end, pid, epochs[pid], node_at(addrs[pid] // PAGE_SIZE, level + 1), level + 1)
+        return self.record.root_cycle[i], self.record.root_pid[i], self.root_values()[i]
 
     @property
     def update_log(self) -> tuple:
-        """Every node update as ``(start, end, pid, epoch, label, level)``,
-        built from the run's 24-byte records (``iter_update_log``) on each
-        read.  The run keeps none of it: the tuple and its ints take about 200
-        bytes per update, eight times the record."""
-        return tuple(self.iter_update_log())
+        """Every node update as ``(start, end, pid, epoch, label, level)``
+        (``UpdateLog.rows``), built on each read: the run keeps none of it."""
+        return tuple(self.log.rows())
 
     def completion_cycle(self, pid: int) -> Optional[int]:
         cycle = self.record.completion(pid)

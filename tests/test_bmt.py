@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,9 +34,7 @@ class TestGeometry:
         geo = BmtGeometry(arity, levels)
         for page in range(geo.leaf_count):
             path = geo.update_path(geo.leaf_for_page(page))
-            assert [geo.path_node(page, level) for level in range(levels, 0, -1)] == path
-        with pytest.raises(ValueError):
-            geo.path_node(0, 0)
+            assert list(geo.path_nodes([page] * levels, range(levels, 0, -1))) == path
 
     def test_update_path_rejects_non_leaf(self):
         with pytest.raises(ValueError):
@@ -75,12 +74,22 @@ def _merge_level(leaf_a, leaf_b):
     return G4.merge_level(G4.update_path(leaf_a), G4.update_path(leaf_b))
 
 
+def apply_node_update(state: BmtState, label: int, counter_block: Optional[SplitCounter] = None) -> int:
+    """Recompute node ``label`` of ``state``, a leaf from its counter block,
+    and commit the value: a tree updated a node at a time, as the engine's
+    updates once were and as the oracles' incremental reference is."""
+    level = state.geometry.level_of(label)
+    value = state.compute_node(label, level, counter_block and counter_block.to_block_bytes())
+    state.commit_node(label, value)
+    return value
+
+
 def _update_page(state, counters, page, geometry=G4):
     """Recompute ``page``'s update path, its leaf from its counter block."""
     leaf, *above = geometry.update_path(geometry.leaf_for_page(page))
-    state.apply_node_update(leaf, counters[page])
+    apply_node_update(state, leaf, counters[page])
     for label in above:
-        state.apply_node_update(label)
+        apply_node_update(state, label)
 
 
 class TestStateUpdates:
@@ -99,8 +108,8 @@ class TestStateUpdates:
         counters = {3: SplitCounter().bump(1)}
         state = BmtState(G4, KEYS)
         leaf = G4.leaf_for_page(3)
-        v1 = state.apply_node_update(leaf, counters[3])
-        v2 = state.apply_node_update(leaf, counters[3])
+        v1 = apply_node_update(state, leaf, counters[3])
+        v2 = apply_node_update(state, leaf, counters[3])
         assert v1 == v2
 
     def test_two_bumps_under_one_lca_commute(self):

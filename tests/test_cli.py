@@ -18,6 +18,7 @@ from nvmsim.cli import (
     make_parser,
     run_simulation,
 )
+from nvmsim.bmt import rebuild_from_counters
 from nvmsim.engine import SCHEMES, SimParams, Simulator
 from nvmsim.timing import LatencyConfig
 from nvmsim.trace import GenSpec
@@ -286,6 +287,17 @@ def test_deep_tree_runs(capsys):
     code, out, _ = run_cli(capsys, "run", "--levels", "1100", "--ideal-caches", "--gen-stores", "1")
     assert code == EXIT_OK
     assert json.loads(out)["stats"]["node_updates"] == 1100
+
+
+@pytest.mark.parametrize("flags", [(), ("--omission-matrix",)])
+def test_crash_sweep_on_a_tree_whose_labels_pass_int64(capsys, flags):
+    # at 23 levels of arity 8 every leaf's label is past 2**63, so the value
+    # replay that the crash cuts read must not pack labels as int64
+    code, out, err = run_cli(capsys, "crash-sweep", "--levels", "23", "--gen-stores", "20", *flags)
+    assert code == EXIT_OK and json.loads(out)["ok"], err
+    sim = run_simulation(RunConfig(levels=23, gen_stores=20))
+    assert sim.geometry.first_leaf >= 1 << 63
+    assert sim.bmt.root_register == rebuild_from_counters(sim.counters, sim.geometry, sim.keys).root()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -2,7 +2,7 @@ import random
 
 from nvmsim import LatencyConfig, SimParams, Simulator, parse, rebuild_from_counters, run_until_idle
 from nvmsim.bmt import BmtGeometry
-from nvmsim.engine import KEY_MASK, PttEntry
+from nvmsim.engine import PttEntry
 
 from conftest import page_addr, random_trace_text, run_sim, trace_text
 from oracles import dedup_update_count
@@ -149,18 +149,18 @@ def below_done_runs():
 
 def test_below_done_matches_the_update_log_at_every_event():
     # below_done is read from next_idx and inflight; the reference counts the
-    # entry's committed updates in the log that lie deeper than its merge level
+    # entry's committed updates, as the update log takes them, that lie deeper
+    # than its merge level
     seen = set()
     for sim in below_done_runs():
         committed = {}  # pid -> levels of its committed updates
-        read = 0
+
+        def append(start, end, pid, level, k, log=sim.log.append, committed=committed):
+            committed.setdefault(pid, []).append(level)
+            log(start, end, pid, level, k)
+        sim.log.append = append
         while sim.events:
             step(sim)
-            records = sim._updates  # (start, end, key) per commit, key & KEY_MASK = pid * levels + level - 1
-            for i in range(read, len(records), 3):
-                pid, level = divmod(records[i + 2] & KEY_MASK, sim.geometry.levels)
-                committed.setdefault(pid, []).append(level + 1)
-            read = len(records)
             for entry in sim.ptt_order:
                 merge_level = sim.geometry.levels - entry.gate_count
                 below = sum(level > merge_level for level in committed.get(entry.pid, ()))

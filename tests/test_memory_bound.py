@@ -13,13 +13,18 @@ import gc
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
+import nvmsim
 from nvmsim import SCHEMES, CrashPlan, GenSpec, SimParams, Simulator, Store, crash, generate, run_until_idle
+from nvmsim.cli import event_log_digest
 from nvmsim.engine import EttEntry, PttEntry, WpqEntry
 
 from test_epoch_watermark import step
+
+LIBRARY = str(Path(nvmsim.__file__).parent / "*")
 
 
 def coalesce_trace(stores: int) -> list:
@@ -58,23 +63,31 @@ def test_retained_bytes_per_store_do_not_grow_with_the_run():
     assert long < 200, long
 
 
-def sealed_bytes_per_store(stores: int) -> float:
-    """Bytes that a crash at the end of a finished run leaves sealed in the
-    run, per store, by tracemalloc: every persist's plaintext, ciphertext,
-    counter block and MAC."""
+def bytes_left_per_store(stores: int, read) -> float:
+    """Bytes that ``read(sim)`` leaves in a finished run of ``stores``
+    stores, per store, by tracemalloc.  The tree's shape caches its level
+    starts on first use; that is read first, so it is not counted."""
     sim = coalesce_run(stores)
     run_until_idle(sim)
+    sim.geometry.level_of(0)
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        crash(sim, CrashPlan("at-cycle", cycle=sim.clock))
+        read(sim)
         gc.collect()
         return (tracemalloc.get_traced_memory()[0] - base) / stores
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def sealed_bytes_per_store(stores: int) -> float:
+    """Bytes that a crash at the end of a finished run leaves sealed in the
+    run, per store: every persist's plaintext, ciphertext, counter block
+    and MAC."""
+    return bytes_left_per_store(stores, lambda sim: crash(sim, CrashPlan("at-cycle", cycle=sim.clock)))
 
 
 def test_sealed_bytes_per_store_are_each_block_once():
@@ -84,6 +97,31 @@ def test_sealed_bytes_per_store_are_each_block_once():
     # SplitCounter snapshot, an 8-byte MAC and three list slots: no second,
     # packed copy of any block
     assert long < 400, long
+
+
+def test_the_event_log_digest_keeps_nothing():
+    # the digest reads the update log record by record, decoded as it goes.
+    # Only the library's own allocations count: a test plugin may keep a few
+    # bytes across the collection, as hypothesis's collector timing does
+    sim = coalesce_run(1024)
+    run_until_idle(sim)
+    sim.geometry.level_of(0)  # which caches the tree's level starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        event_log_digest(sim)
+        gc.collect()
+        kept = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, LIBRARY)])
+    finally:
+        tracemalloc.stop()
+    assert kept.statistics("lineno") == []
+
+
+def test_the_first_tree_read_keeps_bytes_per_store_that_do_not_grow():
+    # the replayed tree's node values, the root's values and each persist's
+    # counter block; no column decoded for the replay outlives it
+    short, long = (bytes_left_per_store(stores, lambda sim: sim.bmt) for stores in (1024, 8192))
+    assert abs(long - short) <= 0.05 * short, (short, long)
 
 
 def test_no_tracking_entry_outlives_its_persist():

@@ -5,6 +5,7 @@ from nvmsim.crypto import KeySet
 from nvmsim.model_core import SplitCounter
 
 from oracles import dedup_update_count, full_root, lca_bruteforce
+from test_bmt import apply_node_update
 
 KEYS = KeySet.from_seed(0)
 G4 = BmtGeometry(arity=8, levels=4)
@@ -26,9 +27,9 @@ def test_full_root_matches_incremental_state():
         page = rng.randrange(G4.leaf_count)
         counters[page] = counters.get(page, SplitCounter()).bump(rng.randrange(64))
         leaf, *above = G4.update_path(G4.leaf_for_page(page))
-        state.apply_node_update(leaf, counters[page])
+        apply_node_update(state, leaf, counters[page])
         for label in above:
-            state.apply_node_update(label)
+            apply_node_update(state, label)
     assert state.root() == full_root(counters, G4, KEYS)
 
 

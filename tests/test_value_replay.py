@@ -1,9 +1,9 @@
 """Node values replayed from the update log against hashing at issue.
 
-The engine computes no node value: each node update keeps its 24-byte log
-record, whose key also counts the commits of its start cycle that came
-before it issued, and ``Simulator._replay_values`` rebuilds every value
-from the log on first read.  ``EagerTree`` is the engine's former value
+The engine computes no node value: each node update appends its 24-byte
+record to the run's ``UpdateLog``, which also counts the commits of its
+start cycle that came before it issued, and the log rebuilds every value
+from its records on first read (``UpdateLog.replay``).  ``EagerTree`` is the engine's former value
 path, kept here as the reference: it hashes each update from the live tree
 when it issues (a leaf from its persist's counter block, as bumped at
 submission) and commits the value when the update completes.  Root values,
@@ -11,6 +11,7 @@ submission) and commits the value when the update completes.  Root values,
 """
 
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -28,9 +29,9 @@ from nvmsim import (
     recover,
     run_until_idle,
 )
-from nvmsim.bmt import BmtState, _read_order
+from nvmsim.bmt import BmtGeometry, BmtState, UpdateLog, _read_order
 from nvmsim.cli import event_log_digest
-from nvmsim.engine import KEY_MASK
+from nvmsim.crypto import KeySet
 
 from test_epoch_watermark import step
 from test_schedule_lock import case_id, case_simulator, cases
@@ -45,6 +46,8 @@ class EagerTree:
         self.roots = []  # each root update's value, in commit order
         self.leaf_blocks = {}  # pid -> its counter block at submission, as bytes
         self.issued = {}  # (pid, level) -> value hashed at issue
+        self.last_commit = -1  # the cycle of the last commit
+        self.same_cycle_reads = 0  # updates issued after a commit of their own cycle
         submit, issue, commit = sim._submit_store, sim._issue_update, sim._ev_mac_done
         levels = sim.geometry.levels
 
@@ -56,6 +59,7 @@ class EagerTree:
             idx = entry.next_idx
             leaf = self.leaf_blocks[entry.pid] if idx == 0 else None
             self.issued[entry.pid, levels - idx] = self.state.compute_node(entry.path[idx], levels - idx, leaf)
+            self.same_cycle_reads += self.last_commit == now
             issue(entry, now)
 
         def mac_done(payload):
@@ -65,6 +69,7 @@ class EagerTree:
             if label == 0:
                 self.state.root_register = value
                 self.roots.append(value)
+            self.last_commit = sim.clock
             commit(payload)
 
         sim._submit_store, sim._issue_update, sim._ev_mac_done = submit_store, issue_update, mac_done
@@ -145,8 +150,18 @@ def test_replay_matches_hashing_at_issue_on_random_configurations():
         sim = random_simulator(seed)
         eager = run_with_reference(sim)
         assert_replay_matches(sim, eager, (seed, sim.params))
-        same_cycle += any(key & ~KEY_MASK for key in sim._updates[2::3])
+        same_cycle += eager.same_cycle_reads > 0
     assert same_cycle >= 50, same_cycle
+
+
+def test_the_log_rejects_a_count_its_key_cannot_hold():
+    # k, the commits of an update's start cycle before its issue, has 15 bits
+    geometry = BmtGeometry(arity=2, levels=3)
+    log = UpdateLog(geometry, KeySet.from_seed(0), array("Q", [4096]), array("q", [0]), list)
+    log.append(5, 6, 0, 3, 2**15 - 1)
+    with pytest.raises(OverflowError):
+        log.append(5, 7, 0, 2, 2**15)
+    assert list(log.rows()) == [(5, 6, 0, 0, geometry.leaf_for_page(1), 3)]
 
 
 def test_read_order_sorts_a_chunk_at_a_time():
@@ -167,7 +182,7 @@ def test_replay_matches_hashing_at_issue_over_several_chunks_of_reads(scheme):
     params = SimParams(scheme=scheme, levels=5, cache_kb=1, latency=LatencyConfig(mac_latency=40))
     sim = Simulator(params, generate(GenSpec(store_count=800, pages=64, run_length=3, fence_interval=6, seed=4)))
     eager = run_with_reference(sim)
-    assert len(sim._updates) // 3 > 1024
+    assert sim.stats["node_updates"] > 1024
     assert_replay_matches(sim, eager, scheme)
 
 
