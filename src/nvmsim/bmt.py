@@ -235,20 +235,20 @@ def _read_order(before: Sequence[int], chunk: int = 1024):
 
 # a record's key holds pid * levels + level - 1 below bit 48 and, above it, k.  A persist's own
 # previous update may be among the k commits, and at a MAC latency of 0 a persist climbs several
-# levels in one cycle, so the PTT capacity does not bound k; the 15 bits that keep the key an int64 must
+# levels in one cycle, so the PTT capacity does not bound k: the int64 key column refuses 2**15
 _K_SHIFT = 48
-_K_LIMIT = 1 << 63 - _K_SHIFT
 _KEY_MASK = (1 << _K_SHIFT) - 1
 
 
 class UpdateLog:
-    """A run's node updates in commit order, one 24-byte record each, and
+    """A run's node updates in commit order, one 16-byte record each, and
     the tree they leave, replayed from the records on first read.
 
-    A record is ``(start, end, key)``: the cycles the update issued and
-    committed, and a key that packs its persist, its level and ``k``, the
-    commits of ``start`` before its issue.  Only ``append`` writes a record
-    and only this class reads a key.  ``rows`` decodes the records as the
+    A record is the cycles the update issued and committed, ``start`` and
+    ``end`` in an int32 column (int64 once a cycle passes ``2**31 - 1``),
+    and a key that packs its persist, its level and ``k``, the commits of
+    ``start`` before its issue.  Only ``append`` writes a record and only
+    this class reads a key.  ``rows`` decodes the records as the
     event log, and ``replay`` computes the values of the nodes they update.
     """
 
@@ -257,7 +257,7 @@ class UpdateLog:
         self.geometry, self.keys, self._levels = geometry, keys, geometry.levels
         self._addrs, self._epochs = addrs, epochs  # each persist's block address and epoch
         self._counter_blocks = counter_blocks  # n -> the counter blocks of the first n persists
-        self._records = array("q")
+        self._cycles, self._keys = array("i"), array("q")  # (start, end) and the key of each update
         # a deep tree's labels pass int64, so it replays them from a list
         self._label_column = partial(array, "q") if geometry.node_count <= 1 << 63 else list
         self._replayed = (-1, None, None)  # the log length, the tree and the root values of the last replay
@@ -265,18 +265,20 @@ class UpdateLog:
     def append(self, start: int, end: int, pid: int, level: int, k: int) -> None:
         """Log an update of persist ``pid`` at ``level``, issued at ``start``
         after ``k`` of that cycle's commits and committed at ``end``."""
-        if k >= _K_LIMIT:
-            raise OverflowError(f"{k} commits in cycle {start} before an issue overflow the update log key")
-        self._records.extend((start, end, pid * self._levels + level - 1 | k << _K_SHIFT))
+        self._keys.append(pid * self._levels + level - 1 | k << _K_SHIFT)  # first, as it may overflow
+        try:
+            self._cycles.extend((start, end))
+        except OverflowError:  # a cycle past int32, once per log: drop a partial append and widen
+            self._cycles = array("q", self._cycles[:2 * len(self._keys) - 2])
+            self._cycles.extend((start, end))
 
     def _decode(self) -> tuple:
-        """The persist, level and node label of each record, as lazy
-        columns.  The node is the one at that level on the persist's update
-        path, under coalescing too: a trailing persist carries the shared
-        path above the merge point, which is its own.  The columns share one
-        pass over the keys, so a column read ahead buffers what it read."""
+        """The persist, level and node label of each record, as lazy columns
+        that share one pass over the keys.  The node is the one at that level
+        on the persist's update path, under coalescing too: a trailing persist
+        carries the shared path above the merge point, which is its own."""
         levels = self._levels
-        codes, again = tee(map(and_, islice(self._records, 2, None, 3), repeat(_KEY_MASK)))
+        codes, again = tee(map(and_, self._keys, repeat(_KEY_MASK)))
         pids, of_page = tee(map(floordiv, codes, repeat(levels)))
         pages = map(floordiv, map(self._addrs.__getitem__, of_page), repeat(PAGE_SIZE))
         level_column, of_label = tee(map(add, map(mod, again, repeat(levels)), repeat(1)))
@@ -287,8 +289,7 @@ class UpdateLog:
         commit order, decoded as it is read."""
         pids, levels, labels = self._decode()
         pids, owners = tee(pids)
-        records = self._records
-        return zip(islice(records, 0, None, 3), islice(records, 1, None, 3), pids,
+        return zip(islice(self._cycles, 0, None, 2), islice(self._cycles, 1, None, 2), pids,
                    map(self._epochs.__getitem__, owners), labels, levels)
 
     def replay(self) -> tuple:
@@ -306,26 +307,26 @@ class UpdateLog:
         needs), the node and its level in arrays, and a slot for its value
         from read to commit.
         """
-        records, levels = self._records, self._levels
-        if self._replayed[0] == len(records):
+        keys, levels = self._keys, self._levels
+        if self._replayed[0] == len(keys):
             return self._replayed[1:]
         blocks = self._counter_blocks(len(self._addrs))
-        ends = records[1::3].tolist()  # a list bisects faster than an array
-        before = array("I", map(add, map(partial(bisect_left, ends), islice(records, 0, None, 3)),
-                                map(rshift, islice(records, 2, None, 3), repeat(_K_SHIFT))))
+        ends = self._cycles[1::2].tolist()  # a list bisects faster than an array
+        before = array("I", map(add, map(partial(bisect_left, ends), islice(self._cycles, 0, None, 2)),
+                                map(rshift, keys, repeat(_K_SHIFT))))
         del ends
         level_column, labels = self._decode()[1:]
         labels = self._label_column(labels)  # first, so only small level ints wait for level_column
         level_column = array("H", level_column)
 
         def leaf_block(u: int) -> bytes:  # its persist's counter block
-            return blocks[(records[3 * u + 2] & _KEY_MASK) // levels].to_block_bytes()
+            return blocks[(keys[u] & _KEY_MASK) // levels].to_block_bytes()
 
         tree = BmtState(self.geometry, self.keys)
         roots = tree.replay(labels, level_column, leaf_block, before)
         if roots:
             tree.root_register = roots[-1]
-        self._replayed = (len(records), tree, roots)
+        self._replayed = (len(keys), tree, roots)
         return tree, roots
 
 

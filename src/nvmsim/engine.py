@@ -66,7 +66,7 @@ arrival and its epoch's unlock.
 
 What a run keeps of each persist is one 64-byte row of columns: five
 cycles in the ``PersistRecord``, and the address, epoch and payload seed in
-the golden log; plus a 24-byte record per node update in ``log`` and 16
+the golden log; plus a 16-byte record per node update in ``log`` and 16
 bytes per root update.  A run computes none of the tuple's data: a
 persist's plaintext, ciphertext, counter block and MAC are sealed, in pid
 order and once, into plain lists when a crash or a view first reads them

@@ -76,8 +76,8 @@ def _merge_level(leaf_a, leaf_b):
 
 def apply_node_update(state: BmtState, label: int, counter_block: Optional[SplitCounter] = None) -> int:
     """Recompute node ``label`` of ``state``, a leaf from its counter block,
-    and commit the value: a tree updated a node at a time, as the engine's
-    updates once were and as the oracles' incremental reference is."""
+    and commit the value: the tree updated one node at a time, which the
+    oracles' full recomputation is checked against."""
     level = state.geometry.level_of(label)
     value = state.compute_node(label, level, counter_block and counter_block.to_block_bytes())
     state.commit_node(label, value)

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from nvmsim.bmt import rebuild_from_counters
 from nvmsim.cli import (
     EXIT_DEADLOCK,
     EXIT_OK,
@@ -18,7 +19,6 @@ from nvmsim.cli import (
     make_parser,
     run_simulation,
 )
-from nvmsim.bmt import rebuild_from_counters
 from nvmsim.engine import SCHEMES, SimParams, Simulator
 from nvmsim.timing import LatencyConfig
 from nvmsim.trace import GenSpec

@@ -57,7 +57,7 @@ def test_retained_bytes_per_store_do_not_grow_with_the_run():
     short, long = retained_bytes_per_store(1024), retained_bytes_per_store(8192)
     assert abs(long - short) <= 0.05 * short, (short, long)
     # a 64-byte row (five cycles, an address, an epoch and a payload seed),
-    # about two 24-byte update records and at most one 24-byte root update
+    # about two 16-byte update records and at most one 16-byte root update
     # per store, with the columns' growth slack: no block of the tuple's
     # data, which is sealed only when a crash reads it
     assert long < 200, long

@@ -1,6 +1,6 @@
 """Node values replayed from the update log against hashing at issue.
 
-The engine computes no node value: each node update appends its 24-byte
+The engine computes no node value: each node update appends its 16-byte
 record to the run's ``UpdateLog``, which also counts the commits of its
 start cycle that came before it issued, and the log rebuilds every value
 from its records on first read (``UpdateLog.replay``).  ``EagerTree`` is the engine's former value
@@ -154,14 +154,18 @@ def test_replay_matches_hashing_at_issue_on_random_configurations():
     assert same_cycle >= 50, same_cycle
 
 
-def test_the_log_rejects_a_count_its_key_cannot_hold():
-    # k, the commits of an update's start cycle before its issue, has 15 bits
+def test_the_log_rejects_a_count_its_key_cannot_hold_and_widens_its_cycles():
+    # k, the commits of an update's start cycle before its issue, has 15 bits;
+    # the cycles are int32 until one is not
     geometry = BmtGeometry(arity=2, levels=3)
     log = UpdateLog(geometry, KeySet.from_seed(0), array("Q", [4096]), array("q", [0]), list)
     log.append(5, 6, 0, 3, 2**15 - 1)
     with pytest.raises(OverflowError):
         log.append(5, 7, 0, 2, 2**15)
-    assert list(log.rows()) == [(5, 6, 0, 0, geometry.leaf_for_page(1), 3)]
+    log.append(2**31 - 1, 2**31, 0, 2, 0)
+    log.append(2**40, 2**40 + 1, 0, 1, 0)
+    assert list(log.rows()) == [(5, 6, 0, 0, geometry.leaf_for_page(1), 3), (2**31 - 1, 2**31, 0, 0, 1, 2),
+                                (2**40, 2**40 + 1, 0, 0, 0, 1)]
 
 
 def test_read_order_sorts_a_chunk_at_a_time():
