@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import count, islice, repeat, tee
+from itertools import chain, count, islice, repeat, tee
 from operator import add, and_, floordiv, lshift, mod, or_, rshift, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -78,8 +78,7 @@ class BmtGeometry:
         """Labels from the leaf to the root, inclusive; length == levels."""
         if not self.first_leaf <= leaf_label < self.first_leaf + self.leaf_count:
             raise ValueError(f"label {leaf_label} is not a leaf")
-        path = [leaf_label]
-        node = leaf_label
+        path, node = [leaf_label], leaf_label
         while node > 0:
             node = (node - 1) // self.arity
             path.append(node)
@@ -114,11 +113,9 @@ def _default_digests(geometry: BmtGeometry, enc: bytes, mac: bytes) -> tuple:
     keys = KeySet(enc, mac)
     pack = struct.Struct(f"<{geometry.arity}Q").pack
     # leaves first; a loop, not recursion, so any depth works
-    value = hash_node(_ZERO_COUNTER_BLOCK, keys)
-    defaults = [value]
+    defaults = [hash_node(_ZERO_COUNTER_BLOCK, keys)]
     for _ in range(geometry.levels - 1):
-        value = hash_node(pack(*[value] * geometry.arity), keys)
-        defaults.append(value)
+        defaults.append(hash_node(pack(*[defaults[-1]] * geometry.arity), keys))
     return (None, *reversed(defaults))
 
 
@@ -142,9 +139,7 @@ class BmtState:
 
     def node_value(self, label: int) -> int:
         stored = self.values.get(label)
-        if stored is not None:
-            return stored
-        return self.default_value(self.geometry.level_of(label))
+        return stored if stored is not None else self.default_value(self.geometry.level_of(label))
 
     def compute_node(self, label: int, level: int, leaf_block: Optional[bytes] = None) -> int:
         """Recompute the value of node ``label`` at ``level`` from its current
@@ -235,21 +230,24 @@ def _read_order(before: Sequence[int], chunk: int = 1024):
 
 # a record's key holds pid * levels + level - 1 below bit 48 and, above it, k.  A persist's own
 # previous update may be among the k commits, and at a MAC latency of 0 a persist climbs several
-# levels in one cycle, so the PTT capacity does not bound k: the int64 key column refuses 2**15
+# levels in one cycle, so the PTT capacity does not bound k: the int64 key refuses 2**15
 _K_SHIFT = 48
 _KEY_MASK = (1 << _K_SHIFT) - 1
+_START_MASK = (1 << 32) - 1  # while every end is below 2**31, a record's cycles share an int64: end << 32 | start
 
 
 class UpdateLog:
     """A run's node updates in commit order, one 16-byte record each, and
     the tree they leave, replayed from the records on first read.
 
-    A record is the cycles the update issued and committed, ``start`` and
-    ``end`` in an int32 column (int64 once a cycle passes ``2**31 - 1``),
-    and a key that packs its persist, its level and ``k``, the commits of
-    ``start`` before its issue.  Only ``append`` writes a record and only
-    this class reads a key.  ``rows`` decodes the records as the
-    event log, and ``replay`` computes the values of the nodes they update.
+    A record is a key that packs its persist, its level and ``k``, the
+    commits of ``start`` before its issue, then the cycles it issued and
+    committed, ``start`` and ``end``, in one int64 (each in its own once an
+    end passes ``2**31 - 1``).  All share one array: two that grow in step
+    leave a run's resident peak to where the allocator puts each.  Only
+    ``append`` writes a record and only this class reads a key.  ``rows``
+    decodes the records as the event log, and ``replay`` computes the
+    values of the nodes they update.
     """
 
     def __init__(self, geometry: BmtGeometry, keys: KeySet, addrs: Sequence[int], epochs: Sequence[int],
@@ -257,7 +255,7 @@ class UpdateLog:
         self.geometry, self.keys, self._levels = geometry, keys, geometry.levels
         self._addrs, self._epochs = addrs, epochs  # each persist's block address and epoch
         self._counter_blocks = counter_blocks  # n -> the counter blocks of the first n persists
-        self._cycles, self._keys = array("i"), array("q")  # (start, end) and the key of each update
+        self._records, self._stride = array("q"), 2  # each update's key and cycles, and the slots they take
         # a deep tree's labels pass int64, so it replays them from a list
         self._label_column = partial(array, "q") if geometry.node_count <= 1 << 63 else list
         self._replayed = (-1, None, None)  # the log length, the tree and the root values of the last replay
@@ -265,12 +263,16 @@ class UpdateLog:
     def append(self, start: int, end: int, pid: int, level: int, k: int) -> None:
         """Log an update of persist ``pid`` at ``level``, issued at ``start``
         after ``k`` of that cycle's commits and committed at ``end``."""
-        self._keys.append(pid * self._levels + level - 1 | k << _K_SHIFT)  # first, as it may overflow
-        try:
-            self._cycles.extend((start, end))
-        except OverflowError:  # a cycle past int32, once per log: drop a partial append and widen
-            self._cycles = array("q", self._cycles[:2 * len(self._keys) - 2])
-            self._cycles.extend((start, end))
+        key = pid * self._levels + level - 1 | k << _K_SHIFT  # goes in first: an overflowing k logs nothing
+        if end >> 31 and self._stride == 2:  # once per log: give each record's cycles their own slots
+            self._records, self._stride = array("q", chain.from_iterable(zip(*map(self._column, range(3))))), 3
+        self._records.extend((key, end << 32 | start) if self._stride == 2 else (key, start, end))
+
+    def _column(self, slot: int) -> Iterator[int]:  # the keys (slot 0), start cycles (1) or end cycles (2)
+        column = islice(self._records, min(slot, self._stride - 1), None, self._stride)
+        if slot == 0 or self._stride == 3:
+            return column
+        return map(and_, column, repeat(_START_MASK)) if slot == 1 else map(rshift, column, repeat(32))
 
     def _decode(self) -> tuple:
         """The persist, level and node label of each record, as lazy columns
@@ -278,7 +280,7 @@ class UpdateLog:
         on the persist's update path, under coalescing too: a trailing persist
         carries the shared path above the merge point, which is its own."""
         levels = self._levels
-        codes, again = tee(map(and_, self._keys, repeat(_KEY_MASK)))
+        codes, again = tee(map(and_, self._column(0), repeat(_KEY_MASK)))
         pids, of_page = tee(map(floordiv, codes, repeat(levels)))
         pages = map(floordiv, map(self._addrs.__getitem__, of_page), repeat(PAGE_SIZE))
         level_column, of_label = tee(map(add, map(mod, again, repeat(levels)), repeat(1)))
@@ -289,8 +291,7 @@ class UpdateLog:
         commit order, decoded as it is read."""
         pids, levels, labels = self._decode()
         pids, owners = tee(pids)
-        return zip(islice(self._cycles, 0, None, 2), islice(self._cycles, 1, None, 2), pids,
-                   map(self._epochs.__getitem__, owners), labels, levels)
+        return zip(self._column(1), self._column(2), pids, map(self._epochs.__getitem__, owners), labels, levels)
 
     def replay(self) -> tuple:
         """The tree as the logged updates left it (node ``values`` and the
@@ -307,26 +308,26 @@ class UpdateLog:
         needs), the node and its level in arrays, and a slot for its value
         from read to commit.
         """
-        keys, levels = self._keys, self._levels
-        if self._replayed[0] == len(keys):
+        records, stride, levels = self._records, self._stride, self._levels
+        if self._replayed[0] == len(records):
             return self._replayed[1:]
         blocks = self._counter_blocks(len(self._addrs))
-        ends = self._cycles[1::2].tolist()  # a list bisects faster than an array
-        before = array("I", map(add, map(partial(bisect_left, ends), islice(self._cycles, 0, None, 2)),
-                                map(rshift, keys, repeat(_K_SHIFT))))
+        ends = list(self._column(2))  # a list bisects faster than an array
+        before = array("I", map(add, map(partial(bisect_left, ends), self._column(1)),
+                                map(rshift, self._column(0), repeat(_K_SHIFT))))
         del ends
         level_column, labels = self._decode()[1:]
         labels = self._label_column(labels)  # first, so only small level ints wait for level_column
         level_column = array("H", level_column)
 
         def leaf_block(u: int) -> bytes:  # its persist's counter block
-            return blocks[(keys[u] & _KEY_MASK) // levels].to_block_bytes()
+            return blocks[(records[stride * u] & _KEY_MASK) // levels].to_block_bytes()
 
         tree = BmtState(self.geometry, self.keys)
         roots = tree.replay(labels, level_column, leaf_block, before)
         if roots:
             tree.root_register = roots[-1]
-        self._replayed = (len(keys), tree, roots)
+        self._replayed = (len(records), tree, roots)
         return tree, roots
 
 
